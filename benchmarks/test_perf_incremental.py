@@ -1,7 +1,7 @@
 """Plane-granular incremental recomputation vs a whole-campaign miss.
 
 Three isolated phases, each in a fresh subprocess (same discipline as
-``test_perf_batch.py`` — peak RSS and caches stay per-phase), sharing
+``test_perf_shard.py`` — peak RSS and caches stay per-phase), sharing
 one plane-cache directory:
 
 * **seed** — warm the plane cache with a 7-origin campaign observed

@@ -226,17 +226,11 @@ class ServeState:
     cache_dir: Optional[str] = None
     executor: Optional[str] = None
     workers: Optional[int] = None
-    #: Trial-batched observation kernels on the miss path.  ``None``
-    #: defers to :func:`repro.sim.batch.batch_enabled` (on by default,
-    #: ``REPRO_BATCH=0`` opts out).  Deliberately *not* part of the
-    #: request spec: batching is an execution detail, so cache keys —
-    #: and the served bytes — are identical either way.
-    batch: Optional[bool] = None
     #: Plane-granular incremental recomputation on the ``grid``-surface
     #: miss path.  ``None`` defers to ``REPRO_PLANE_CACHE`` (on by
     #: default); ``False`` forces the non-incremental reference path.
-    #: Like ``batch``, deliberately *not* part of the request spec —
-    #: served bytes are identical either way.
+    #: Deliberately *not* part of the request spec — served bytes are
+    #: identical either way.
     plane_cache: Optional[bool] = None
     world_lru: int = 4
     _worlds: "OrderedDict[str, tuple]" = field(default_factory=OrderedDict)
@@ -347,7 +341,7 @@ def run_request(request: CampaignRequest, state: ServeState) -> ResultPayload:
                     protocols=request.protocols,
                     n_trials=request.n_trials,
                     executor=state.executor, workers=state.workers,
-                    batch=state.batch, origin_universe=universe,
+                    origin_universe=universe,
                     plane_cache=state.plane_cache,
                     plane_extra=plane_extra, plane_dir=state.cache_dir)
             else:
@@ -356,7 +350,7 @@ def run_request(request: CampaignRequest, state: ServeState) -> ResultPayload:
                     protocols=request.protocols,
                     n_trials=request.n_trials,
                     executor=state.executor, workers=state.workers,
-                    batch=state.batch, origin_universe=universe,
+                    origin_universe=universe,
                     plane_cache=state.plane_cache,
                     plane_extra=plane_extra, plane_dir=state.cache_dir)
             plane_stats = result.metadata.get("plane_cache")
@@ -368,7 +362,6 @@ def run_request(request: CampaignRequest, state: ServeState) -> ResultPayload:
                                               n_trials=request.n_trials,
                                               executor=state.executor,
                                               workers=state.workers,
-                                              batch=state.batch,
                                               origin_universe=universe,
                                               collect=True)
             report = full_report(dataset, engine=request.engine)
@@ -378,7 +371,6 @@ def run_request(request: CampaignRequest, state: ServeState) -> ResultPayload:
                                    n_trials=request.n_trials,
                                    executor=state.executor,
                                    workers=state.workers,
-                                   batch=state.batch,
                                    origin_universe=universe)
             report = full_report(dataset, engine=request.engine)
     meta = {

@@ -2,12 +2,12 @@
 
 from repro.sim.world import World, WorldDefaults, Observation
 from repro.sim.plan import ASGrouping, ObservationPlan, ObserveProfile
-from repro.sim.campaign import Campaign, build_observation_grid, run_campaign
+from repro.sim.campaign import Campaign, build_trial_batches, run_campaign
 from repro.sim.executor import (
     BACKENDS,
     ExecutionReport,
     Executor,
-    ObservationJob,
+    TrialBatchJob,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
@@ -28,11 +28,11 @@ __all__ = [
     "ASGrouping",
     "Campaign",
     "run_campaign",
-    "build_observation_grid",
+    "build_trial_batches",
     "BACKENDS",
     "Executor",
     "ExecutionReport",
-    "ObservationJob",
+    "TrialBatchJob",
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",

@@ -1,8 +1,7 @@
-"""Fused trial-batched observation kernels.
+"""The compiled observation kernel: one fused pass over a trial axis.
 
-The campaign grid is (protocol × trial × origin), and the per-cell path
-(:meth:`repro.sim.world.World.observe`) evaluates one cell per call.
-Because every stochastic draw in the simulator is a pure function of
+The campaign grid is (protocol × trial × origin).  Because every
+stochastic draw in the simulator is a pure function of
 ``(seed, stream key, counters)``, a whole *trial axis* can be drawn as a
 2-D lattice with bit-identical results: per-trial stream keys are
 pre-derived (:func:`repro.rng.stream_keys`) and broadcast against the
@@ -18,11 +17,13 @@ shared per-host counter addresses (:func:`repro.rng.keyed_uniform_lattice`).
   (:meth:`~repro.conditions.loss.PathLossModel.delivered_lattice`),
 * the L7 ladder assembled per trial from the pre-drawn lattices.
 
-Every matrix row sliced by a trial's ``keep`` subset reproduces exactly
-the arrays the per-cell planned path computes, so batched observations
-are **byte-identical** to per-cell ones (differential suite:
-``tests/test_batch_equivalence.py``).  The per-cell path is retained as
-the reference.
+It is the simulator's only compiled kernel: a single cell
+(:meth:`~repro.sim.world.World.observe`) is a batch of one trial.  Every
+matrix row sliced by a trial's ``keep`` subset reproduces exactly the
+arrays the unplanned oracle (``World.observe(..., plan=False)``) computes,
+so kernel observations are **byte-identical** to the oracle's
+(differential suites: ``tests/test_batch_equivalence.py``,
+``tests/test_plan_equivalence.py``).
 
 In **plane-only mode** the kernel skips ``Observation`` row
 materialization and returns :class:`PlaneSlice` objects — just the
@@ -41,7 +42,6 @@ hosts per protocol) well under 60 MB, and per-shard views bound
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -54,40 +54,8 @@ from repro.rng import keyed_uniform_array, keyed_uniform_lattice, stream_keys
 from repro.scanner.zmap import ZMapScanner
 from repro.sim.plan import ObserveProfile, _StageTimer, \
     sorted_membership_mask
-from repro.sim.world import Observation, World
+from repro.sim.world import Observation, World, count_observation
 from repro.telemetry.context import current as _telemetry
-
-#: Environment opt-out for the batched path (``REPRO_BATCH=0``).
-ENV_BATCH = "REPRO_BATCH"
-
-#: Stage names of the batched kernel in reporting order.  The first six
-#: mirror the per-cell stages (the batched stage covers every trial of
-#: the batch at once); ``emit`` is the final row/plane materialization.
-BATCH_STAGES = ("filter", "schedule", "l4_static", "l4_ids", "path",
-                "l7", "emit")
-
-_FALSEY = ("0", "false", "no", "off")
-
-
-def batch_enabled(batch: Optional[bool] = None,
-                  planned: bool = True) -> bool:
-    """Resolve the batched-path switch.
-
-    Explicit argument beats the ``REPRO_BATCH`` environment variable
-    (``0``/``false``/``no``/``off`` opt out) beats the default (on).
-    The unplanned reference path is never batched — it anchors the
-    differential suites for both the plan and the batch kernels — so
-    ``planned=False`` always resolves to the per-cell path.
-    """
-    if not planned:
-        return False
-    if batch is not None:
-        return bool(batch)
-    env = os.environ.get(ENV_BATCH)
-    if env is None:
-        return True
-    return env.strip().lower() not in _FALSEY
-
 
 @dataclass
 class PlaneSlice:
@@ -110,6 +78,13 @@ class PlaneSlice:
     def __len__(self) -> int:
         return len(self.ip)
 
+    @classmethod
+    def of(cls, obs: Observation) -> "PlaneSlice":
+        """The plane-only columns of a materialized observation."""
+        return cls(protocol=obs.protocol, trial=obs.trial,
+                   origin=obs.origin, ip=obs.ip, as_index=obs.as_index,
+                   accessible=obs.l7 == int(L7Status.SUCCESS))
+
 
 BatchOutput = Union[Observation, PlaneSlice]
 
@@ -128,15 +103,17 @@ def observe_trial_batch(world: World, protocol: str, origin: Origin,
     ``scanners`` carries one trial-reseeded scanner per entry of
     ``trials`` (the campaign convention: ``seed + trial``); the configs
     must differ only in their seed.  Output element *i* is byte-identical
-    to ``world.observe(protocol, trials[i], origin, scanners[i], ...)``
-    — as an :class:`~repro.sim.world.Observation`, or as a
-    :class:`PlaneSlice` when ``plane_only`` is set.
+    to the oracle ``world.observe(protocol, trials[i], origin,
+    scanners[i], ..., plan=False)`` — as an
+    :class:`~repro.sim.world.Observation`, or as a :class:`PlaneSlice`
+    when ``plane_only`` is set.
 
     With telemetry enabled the call emits one ``batch.stream`` span with
     ``observe.batched.<stage>`` child events plus ``observe.batched.*``
-    counters; the per-host blocking/loss counters
-    (``observe.hosts_blocked``, ``observe.probes_lost``, …) keep their
-    per-cell names and totals.
+    counters; the per-cell counters (``observe.calls``,
+    ``observe.hosts_blocked``, ``observe.probes_lost``, …) count one
+    cell per trial, with the same totals as the oracle where it counts
+    them.
     """
     tel = _telemetry()
     if tel.enabled:
@@ -158,10 +135,6 @@ def observe_trial_batch(world: World, protocol: str, origin: Origin,
                       protocol=protocol, origin=origin.name)
             if plane_only:
                 tel.count("observe.batched.plane_rows", n,
-                          protocol=protocol, origin=origin.name)
-            if scanners:
-                tel.count("observe.probes_sent",
-                          n * scanners[0].config.n_probes,
                           protocol=protocol, origin=origin.name)
             return results
     return _observe_trial_batch(world, protocol, origin, trials, scanners,
@@ -193,7 +166,7 @@ def _observe_trial_batch(world: World, protocol: str, origin: Origin,
                 "trial-reseeding convention)")
     counting = tel.enabled
 
-    timer = _StageTimer(profile, tel=tel, prefix="observe.batched.")
+    timer = _StageTimer(profile, tel=tel)
     view = world.hosts.for_protocol(protocol)
     caches = world.host_caches(protocol)
     plans = [world.plan(protocol, s) for s in scanners]
@@ -213,7 +186,7 @@ def _observe_trial_batch(world: World, protocol: str, origin: Origin,
             wanted &= target_mask
         keeps.append(np.flatnonzero(wanted))
         kept_lattice[ti] = wanted
-    positions = [plans[ti].position_of_row(keeps[ti]) for ti in range(n_t)]
+    positions = [caches.position_of_row(keep) for keep in keeps]
     counts: List[dict] = [dict() for _ in range(n_t)]
     timer.stamp("filter")
 
@@ -293,10 +266,10 @@ def _observe_trial_batch(world: World, protocol: str, origin: Origin,
     rate_matrix = loss.trial_epoch_rate_matrix(
         epoch, variability, np.arange(caches.n_ases, dtype=np.int64),
         trials)
-    persist_full = plans[0].persist_u.get(origin.name)
+    persist_full = caches.persist_u.get(origin.name)
     if persist_full is None:
         persist_full = loss.persistent_draws(host_ids_full)
-        plans[0].persist_u[origin.name] = persist_full
+        caches.persist_u[origin.name] = persist_full
     effective_full = rate_matrix[:, as_full]
     random_full = random_[as_full]
     persistent_full = persistent[as_full]
@@ -307,7 +280,7 @@ def _observe_trial_batch(world: World, protocol: str, origin: Origin,
         # Rows cut by the filter never contribute draws, but their times
         # would still enter the epoch-memo key — and a single cut row
         # crossing an epoch boundary between probes would defeat the
-        # memo the per-cell path gets on its kept subset.  Pin cut rows
+        # memo for every kept row.  Pin cut rows
         # to t=0 so the memo keys (and hits) depend on kept rows only;
         # kept rows' epoch addresses are untouched, so draws stay
         # byte-identical.
@@ -458,16 +431,8 @@ def _observe_trial_batch(world: World, protocol: str, origin: Origin,
                 probe_mask=probe_masks[ti], l7=l7s[ti],
                 time=first_times[ti].astype(np.float32)))
         if counting:
-            n = len(keep)
-            # One logical observe per grid cell, whichever kernel ran:
-            # the observation-level counters describe the byte-identical
-            # output, so their totals must match the per-cell path.
-            tel.count("observe.calls", 1,
-                      protocol=protocol, origin=origin.name)
-            tel.count("observe.services", n,
-                      protocol=protocol, origin=origin.name)
-            tel.observe_value("observe.services_per_call", n,
-                              protocol=protocol)
+            count_observation(tel, protocol, origin.name, len(keep),
+                              n_probes)
             for cause in sorted(counts[ti]):
                 tel.count("observe.hosts_blocked", counts[ti][cause],
                           cause=cause, protocol=protocol,

@@ -8,10 +8,11 @@ for the analysis pipeline.
 
 Execution is delegated to a pluggable backend (:mod:`repro.sim.executor`):
 the (protocol, trial, origin) observation grid is flattened into
-independent jobs, fanned out serially or across threads/processes, and
-reassembled in deterministic grid order.  Every job carries its own
-trial-reseeded config and the origin's ``first_trial``, so the output is
-bit-identical regardless of backend or scheduling.
+independent (protocol, origin) trial-batch jobs, fanned out serially or
+across threads/processes, and reassembled in deterministic grid order.
+Every job carries its own trial-reseeded configs and the origin's
+``first_trial``, so the output is bit-identical regardless of backend or
+scheduling.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ import numpy as np
 from repro.core.dataset import CampaignDataset, TrialData
 from repro.origins import Origin
 from repro.scanner.zmap import ZMapConfig
-from repro.sim.batch import batch_enabled
-from repro.sim.executor import Executor, ObservationJob, ProgressCallback, \
-    TrialBatchJob, make_executor
+from repro.sim.executor import Executor, ProgressCallback, TrialBatchJob, \
+    make_executor
 from repro.sim.world import Observation, World
 from repro.telemetry.context import Telemetry, current as _telemetry, use
 from repro.telemetry.manifest import build_manifest
@@ -58,14 +58,10 @@ class Campaign:
     n_trials: int = 3
     executor: Union[str, Executor, None] = None
     workers: Optional[int] = None
-    #: Observe through compiled plans (:meth:`repro.sim.world.World.plan`).
-    #: ``False`` forces the unplanned reference path — byte-identical
-    #: output, used by the differential test suite.
+    #: Observe through the compiled kernel (:mod:`repro.sim.batch`).
+    #: ``False`` forces the unplanned reference oracle — byte-identical
+    #: output, used by the differential test suites.
     planned: bool = True
-    #: Fused trial batching: ``None`` resolves via ``REPRO_BATCH`` (on by
-    #: default), ``True``/``False`` force it.  Byte-identical output
-    #: either way (see :mod:`repro.sim.batch`).
-    batch: Optional[bool] = None
     #: Telemetry for the run: a journal path (a fresh collector is opened
     #: and closed around the run), an existing
     #: :class:`~repro.telemetry.context.Telemetry`, or ``None`` to use
@@ -83,8 +79,7 @@ class Campaign:
         return run_campaign(self.world, self.origins, self.zmap,
                             self.protocols, self.n_trials,
                             executor=self.executor, workers=self.workers,
-                            planned=self.planned, batch=self.batch,
-                            telemetry=self.telemetry)
+                            planned=self.planned, telemetry=self.telemetry)
 
 
 def _universe_names(origins: Sequence[Origin],
@@ -109,55 +104,19 @@ def _universe_names(origins: Sequence[Origin],
     return universe
 
 
-def build_observation_grid(origins: Sequence[Origin], zmap: ZMapConfig,
-                           protocols: Sequence[str],
-                           n_trials: int,
-                           planned: bool = True,
-                           origin_universe: Optional[Sequence[str]] = None
-                           ) -> List[ObservationJob]:
-    """Flatten the campaign into independent, self-contained jobs.
-
-    Each job carries the trial-reseeded config (``seed + trial``) and the
-    origin's precomputed ``first_trial`` — computed once here, not per
-    worker, because a worker cannot recover it without the full origin
-    participation schedule.
-    """
-    origin_names = _universe_names(origins, origin_universe)
-    first_trials = {o.name: _first_trial(o, n_trials) for o in origins}
-
-    jobs: List[ObservationJob] = []
-    for protocol in protocols:
-        for trial in range(n_trials):
-            config = dataclasses.replace(zmap, seed=zmap.seed + trial)
-            participating = [o for o in origins if o.participates(trial)]
-            if not participating:
-                raise ValueError(
-                    f"no origin scanned {protocol} trial {trial}")
-            for origin in participating:
-                jobs.append(ObservationJob(
-                    index=len(jobs), protocol=protocol, trial=trial,
-                    origin=origin, config=config,
-                    first_trial=first_trials[origin.name],
-                    origin_names=origin_names,
-                    planned=planned))
-    return jobs
-
-
 def build_trial_batches(origins: Sequence[Origin], zmap: ZMapConfig,
                         protocols: Sequence[str], n_trials: int,
                         planned: bool = True,
                         plane_only: bool = False,
                         origin_universe: Optional[Sequence[str]] = None
                         ) -> List[TrialBatchJob]:
-    """Flatten the campaign into fused (protocol, origin) trial batches.
+    """Flatten the campaign into independent (protocol, origin) batches.
 
-    The batched counterpart of :func:`build_observation_grid`: one job
-    per (protocol, origin) carrying every trial the origin participates
-    in, each with its trial-reseeded config (``seed + trial``).  Far
-    fewer jobs cross the executor boundary (origins × protocols instead
-    of the full grid), and each runs the fused kernel
-    (:func:`repro.sim.batch.observe_trial_batch`) — the reassembled
-    dataset is byte-identical to the per-cell grid's.
+    One job per (protocol, origin) carrying every trial the origin
+    participates in, each with its trial-reseeded config
+    (``seed + trial``), and the origin's precomputed ``first_trial`` —
+    computed once here, not per worker, because a worker cannot recover
+    it without the full origin participation schedule.
     """
     origin_names = _universe_names(origins, origin_universe)
     first_trials = {o.name: _first_trial(o, n_trials) for o in origins}
@@ -190,7 +149,6 @@ def run_campaign(world: World, origins: Sequence[Origin],
                  workers: Optional[int] = None,
                  progress: Optional[ProgressCallback] = None,
                  planned: bool = True,
-                 batch: Optional[bool] = None,
                  telemetry: Union[str, os.PathLike, Telemetry, None] = None,
                  origin_universe: Optional[Sequence[str]] = None
                  ) -> CampaignDataset:
@@ -203,18 +161,13 @@ def run_campaign(world: World, origins: Sequence[Origin],
     ``executor`` picks the execution backend (``"serial"``, ``"thread"``,
     ``"process"``, or an :class:`Executor`); ``workers`` sizes its pool;
     ``progress`` is called as ``(jobs_done, jobs_total, job)`` after each
-    observation completes.  Output is bit-identical across backends; the
+    (protocol, origin) trial batch completes.  Each job runs the compiled
+    kernel (:func:`repro.sim.batch.observe_trial_batch`) over its whole
+    trial axis.  Output is bit-identical across backends; the
     :class:`~repro.sim.executor.ExecutionReport` lands in
     ``metadata["execution"]`` (including per-stage observe timings when
     ``planned``).  ``planned=False`` routes every observation through the
-    unplanned reference path — byte-identical results, no plan caching.
-
-    ``batch`` selects the fused trial-batch granularity (one job per
-    (protocol, origin) running :func:`repro.sim.batch.observe_trial_batch`
-    over its whole trial axis) instead of per-cell jobs.  The default
-    (``None``) is on unless ``REPRO_BATCH`` opts out; results are
-    byte-identical either way, and the unplanned reference path
-    (``planned=False``) always runs per cell.
+    unplanned reference oracle — byte-identical results, no plan caching.
 
     ``telemetry`` turns on run instrumentation: pass a journal path (an
     NDJSON journal plus run manifest is written there), a live
@@ -240,7 +193,7 @@ def run_campaign(world: World, origins: Sequence[Origin],
         with activate:
             return _run_campaign(world, origins, zmap, protocols, n_trials,
                                  executor, workers, progress, planned,
-                                 batch, tel, origin_universe)
+                                 tel, origin_universe)
     finally:
         if owned is not None:
             owned.close()
@@ -248,43 +201,23 @@ def run_campaign(world: World, origins: Sequence[Origin],
 
 def _run_campaign(world: World, origins: Sequence[Origin],
                   zmap: ZMapConfig, protocols: Sequence[str],
-                  n_trials: int, executor, workers, progress, planned,
-                  batch, tel,
+                  n_trials: int, executor, workers, progress, planned, tel,
                   origin_universe: Optional[Sequence[str]] = None
                   ) -> CampaignDataset:
-    batched = batch_enabled(batch, planned)
     with tel.span("campaign.run", seed=zmap.seed,
                   protocols=list(protocols), n_trials=n_trials,
-                  origins=[o.name for o in origins], batch=batched):
-        if batched:
-            jobs = build_trial_batches(origins, zmap, protocols, n_trials,
-                                       planned=planned,
-                                       origin_universe=origin_universe)
-        else:
-            jobs = build_observation_grid(origins, zmap, protocols,
-                                          n_trials, planned=planned,
-                                          origin_universe=origin_universe)
+                  origins=[o.name for o in origins]):
+        jobs = build_trial_batches(origins, zmap, protocols, n_trials,
+                                   planned=planned,
+                                   origin_universe=origin_universe)
         backend = make_executor(executor, workers)
         observations, report = backend.run_grid(world, jobs,
                                                 progress=progress)
+        by_cell = _by_cell(jobs, dict(zip((j.index for j in jobs),
+                                          observations)))
 
-        # One (origin name, observation) list per (protocol, trial) cell.
-        # Batch jobs iterate origins in campaign order per protocol, so
-        # flattening them recovers exactly the per-cell grid's origin
-        # order (the origin list filtered by participation).
-        by_cell: Dict[Tuple[str, int], List] = {}
-        if batched:
-            for job, per_trial in zip(jobs, observations):
-                for trial, obs in zip(job.trials, per_trial):
-                    by_cell.setdefault((job.protocol, trial), []).append(
-                        (job.origin.name, obs))
-        else:
-            for job, obs in zip(jobs, observations):
-                by_cell.setdefault((job.protocol, job.trial), []).append(
-                    (job.origin.name, obs))
-
-        # Cell order is fixed (protocol × ascending trial) regardless of
-        # job granularity, so table order never depends on the path.
+        # Cell order is fixed (protocol × ascending trial), so table
+        # order never depends on job order.
         cells = [(protocol, trial) for protocol in protocols
                  for trial in range(n_trials)]
         with tel.span("campaign.assemble", n_tables=len(cells)):
@@ -305,7 +238,6 @@ def _run_campaign(world: World, origins: Sequence[Origin],
             "scan_duration_s": zmap.scan_duration_s,
             "origins": [o.name for o in origins],
             "n_trials": n_trials,
-            "batch": batched,
             "execution": report.to_metadata(),
         }
         if tel.enabled:
@@ -357,7 +289,7 @@ def _probe_plane_units(jobs: Sequence[TrialBatchJob], probe):
 def _merge_plane_outputs(jobs: Sequence[TrialBatchJob],
                          by_index: Mapping[int, Sequence],
                          cached: Mapping[int, Dict[int, object]],
-                         store=None) -> Dict[int, List]:
+                         store) -> Dict[int, List]:
     """Reassemble cached hits + fresh planes per original job.
 
     Returns ``job.index`` → per-trial outputs in ``job.trials`` order —
@@ -379,10 +311,59 @@ def _merge_plane_outputs(jobs: Sequence[TrialBatchJob],
                 continue
             plane = fresh_by_trial.get(trial)
             outputs.append(plane)
-            if store is not None and plane is not None:
+            if plane is not None:
                 store(job, trial, plane)
         merged[job.index] = outputs
     return merged
+
+
+def _run_units(world: World, jobs: Sequence[TrialBatchJob], backend,
+               session, shard_index: int = 0):
+    """Run ``jobs`` on ``world``, serving what it can from the plane cache.
+
+    Returns ``(outputs, report)``: ``outputs`` maps ``job.index`` to its
+    per-trial outputs in ``job.trials`` order (cache hits and fresh
+    planes merged; fresh units are stored on the way through), and
+    ``report`` is the execution report, or ``None`` when nothing had to
+    be dispatched.  ``session=None`` dispatches every job.
+    """
+    if session is not None:
+        live, cached = _probe_plane_units(
+            jobs, lambda job, trial: session.probe(
+                job.protocol, job.origin.name, trial,
+                shard_index=shard_index))
+    else:
+        live, cached = list(jobs), {}
+    outputs: Dict[int, Sequence] = {}
+    report = None
+    if live:
+        results, report = backend.run_grid(world, live)
+        outputs = dict(zip((j.index for j in live), results))
+    if session is not None:
+        outputs = _merge_plane_outputs(
+            jobs, outputs, cached,
+            store=lambda job, trial, plane: session.store(
+                job.protocol, job.origin.name, trial, plane,
+                shard_index=shard_index))
+    return outputs, report
+
+
+def _by_cell(jobs: Sequence[TrialBatchJob],
+             outputs: Mapping[int, Sequence]) -> Dict[Tuple[str, int], List]:
+    """(protocol, trial) → ``[(origin name, output), ...]``.
+
+    Jobs iterate origins in campaign order per protocol, so each cell
+    lists its participating origins in campaign order.  A job absent
+    from ``outputs`` contributes ``None`` for each of its trials.
+    """
+    by_cell: Dict[Tuple[str, int], List] = {}
+    for job in jobs:
+        per_trial = outputs.get(job.index)
+        for k, trial in enumerate(job.trials):
+            by_cell.setdefault((job.protocol, trial), []).append(
+                (job.origin.name,
+                 None if per_trial is None else per_trial[k]))
+    return by_cell
 
 
 def run_plane_campaign(world: World, origins: Sequence[Origin],
@@ -392,7 +373,6 @@ def run_plane_campaign(world: World, origins: Sequence[Origin],
                        executor: Union[str, Executor, None] = None,
                        workers: Optional[int] = None,
                        planned: bool = True,
-                       batch: Optional[bool] = None,
                        origin_universe: Optional[Sequence[str]] = None,
                        plane_cache: Optional[bool] = None,
                        plane_extra: Optional[Mapping] = None,
@@ -401,8 +381,8 @@ def run_plane_campaign(world: World, origins: Sequence[Origin],
                                         None] = None):
     """Run a monolithic campaign straight into streaming accumulators.
 
-    The plane-granular counterpart of :func:`run_campaign`: fused
-    trial-batch jobs run in *plane-only* mode and their
+    The plane-granular counterpart of :func:`run_campaign`: trial-batch
+    jobs run in *plane-only* mode and their
     :class:`~repro.sim.batch.PlaneSlice` columns stream into
     :class:`~repro.core.streaming.StreamingTrial` accumulators — no
     per-cell ``Observation``/``TrialData`` ever materializes — and the
@@ -410,16 +390,15 @@ def run_plane_campaign(world: World, origins: Sequence[Origin],
     against the plane cache (:mod:`repro.serve.planecache`) so only
     missing units are dispatched.  ``plane_cache`` is tri-state:
     ``None`` defers to ``REPRO_PLANE_CACHE`` (on by default),
-    ``False`` forces the non-incremental differential reference.  With
-    batching disabled (``REPRO_BATCH=0`` / ``batch=False``) the per-cell
-    grid runs instead and is reduced table-wise — byte-identical planes,
-    no caching.
+    ``False`` forces the non-incremental differential reference.  The
+    unplanned oracle (``planned=False``) never touches the cache.
 
     Returns a :class:`~repro.core.streaming.StreamingCampaignResult`
     whose planes and report are byte-identical to a cold full
     recompute, regardless of which units were cached.
     """
     from repro.core.streaming import StreamingCampaignResult, StreamingTrial
+    from repro.sim.shard import _reduce_planes
 
     owned: Optional[Telemetry] = None
     if telemetry is None:
@@ -435,9 +414,8 @@ def run_plane_campaign(world: World, origins: Sequence[Origin],
         tel.trace_id = new_trace_id()
     try:
         with activate:
-            batched = batch_enabled(batch, planned)
             session = None
-            if batched:
+            if planned:
                 from repro.serve import planecache
                 session = planecache.session_for(
                     world, zmap,
@@ -447,69 +425,24 @@ def run_plane_campaign(world: World, origins: Sequence[Origin],
             with tel.span("campaign.run_planes", seed=zmap.seed,
                           protocols=list(protocols), n_trials=n_trials,
                           origins=[o.name for o in origins],
-                          batch=batched, plane_cache=session is not None):
-                if batched:
-                    jobs = build_trial_batches(
-                        origins, zmap, protocols, n_trials,
-                        planned=planned, plane_only=True,
-                        origin_universe=origin_universe)
-                else:
-                    jobs = build_observation_grid(
-                        origins, zmap, protocols, n_trials,
-                        planned=planned, origin_universe=origin_universe)
-                backend = make_executor(executor, workers)
-                if session is not None:
-                    live, cached = _probe_plane_units(
-                        jobs, lambda job, trial: session.probe(
-                            job.protocol, job.origin.name, trial))
-                else:
-                    live, cached = list(jobs), {}
-                report = None
-                if live:
-                    observations, report = backend.run_grid(world, live)
-                    by_index = dict(zip((j.index for j in live),
-                                        observations))
-                else:
-                    by_index = {}
-                if batched:
-                    store = None
-                    if session is not None:
-                        store = lambda job, trial, plane: session.store(  # noqa: E731
-                            job.protocol, job.origin.name, trial, plane)
-                    outputs_by_job = _merge_plane_outputs(
-                        jobs, by_index, cached, store=store)
+                          plane_cache=session is not None):
+                jobs = build_trial_batches(
+                    origins, zmap, protocols, n_trials, planned=planned,
+                    plane_only=True, origin_universe=origin_universe)
+                outputs, report = _run_units(
+                    world, jobs, make_executor(executor, workers), session)
+                by_cell = _by_cell(jobs, outputs)
 
-                by_cell: Dict[Tuple[str, int], List] = {}
-                if batched:
-                    for job in jobs:
-                        outputs = outputs_by_job[job.index]
-                        for trial, plane in zip(job.trials, outputs):
-                            by_cell.setdefault(
-                                (job.protocol, trial), []).append(
-                                (job.origin.name, plane))
-                else:
-                    for job in jobs:
-                        by_cell.setdefault(
-                            (job.protocol, job.trial), []).append(
-                            (job.origin.name, by_index[job.index]))
-
-                from repro.sim.shard import _reduce_planes
                 n_ases = len(world.topology.ases)
                 accumulators: Dict[Tuple[str, int], StreamingTrial] = {}
                 for protocol in protocols:
                     for trial in range(n_trials):
                         members = by_cell[(protocol, trial)]
-                        names = [name for name, _ in members]
                         acc = StreamingTrial(protocol=protocol,
                                              trial=trial, n_ases=n_ases)
                         accumulators[(protocol, trial)] = acc
-                        if batched:
-                            _reduce_planes(acc, names,
-                                           [p for _, p in members])
-                        else:
-                            acc.add_shard(_stack(
-                                protocol, trial, names,
-                                [o for _, o in members], zmap.n_probes))
+                        _reduce_planes(acc, [name for name, _ in members],
+                                       [p for _, p in members])
 
                 metadata: Dict[str, object] = {
                     "seed": zmap.seed,
@@ -519,7 +452,6 @@ def run_plane_campaign(world: World, origins: Sequence[Origin],
                     "scan_duration_s": zmap.scan_duration_s,
                     "origins": [o.name for o in origins],
                     "n_trials": n_trials,
-                    "batch": batched,
                     "execution": report.to_metadata() if report is not None
                     else {},
                 }

@@ -7,7 +7,9 @@ when — or in which worker — any other observation ran.  This module
 exploits that property to fan the grid out across threads or processes
 while guaranteeing results bit-identical to serial execution.
 
-Three backends share one interface:
+Jobs are :class:`TrialBatchJob` units — one (protocol, origin) and every
+trial it scans — so a campaign ships one job per (protocol, origin)
+rather than one per grid cell.  Three backends share one interface:
 
 * :class:`SerialExecutor` — the reference implementation, one job at a
   time in submission order.
@@ -53,9 +55,9 @@ from repro.io.columnar import (arrays_from_buffer, decompose_world,
                                pack_into, pack_layout, recompose_world)
 from repro.origins import Origin
 from repro.scanner.zmap import ZMapConfig, ZMapScanner
-from repro.sim.batch import BatchOutput, observe_trial_batch
+from repro.sim.batch import BatchOutput, PlaneSlice, observe_trial_batch
 from repro.sim.plan import ObserveProfile
-from repro.sim.world import Observation, World
+from repro.sim.world import World
 from repro.telemetry.context import Telemetry, current as _telemetry, \
     peak_rss_bytes as _peak_rss, use
 from repro.telemetry.tracing import TraceContext
@@ -77,43 +79,23 @@ ProgressCallback = Callable[[int, int, "Job"], None]
 
 
 @dataclass(frozen=True)
-class ObservationJob:
-    """One schedulable ``(protocol, trial, origin)`` observation.
-
-    ``config`` is already trial-reseeded (``seed + trial``), and
-    ``first_trial`` is precomputed by the grid builder, so a worker needs
-    no context beyond the world itself — results are identical no matter
-    which worker runs the job, or in what order.
-    """
-
-    index: int
-    protocol: str
-    trial: int
-    origin: Origin
-    config: ZMapConfig
-    first_trial: int
-    origin_names: Tuple[str, ...]
-    #: Whether to observe through a compiled plan (the default).  The
-    #: unplanned reference path exists for differential testing
-    #: (``run_campaign(..., planned=False)``).
-    planned: bool = True
-
-
-@dataclass(frozen=True)
 class TrialBatchJob:
     """One schedulable ``(protocol, origin)`` *trial batch*.
 
-    The batched granularity: all trials this origin participates in for
-    one protocol, evaluated in a single fused kernel pass
-    (:func:`repro.sim.batch.observe_trial_batch`).  ``configs`` carries
-    one trial-reseeded :class:`~repro.scanner.zmap.ZMapConfig` per entry
-    of ``trials`` — the same reseeding the per-cell grid applies — so a
-    batch job's outputs are byte-identical to the per-cell jobs it
-    replaces, while shipping far fewer pickles per campaign (one job per
-    (protocol, origin) instead of one per grid cell).
+    All trials this origin participates in for one protocol, evaluated
+    in a single kernel pass (:func:`repro.sim.batch.observe_trial_batch`).
+    ``configs`` carries one trial-reseeded
+    :class:`~repro.scanner.zmap.ZMapConfig` per entry of ``trials``
+    (``seed + trial``), and ``first_trial`` is precomputed by the grid
+    builder, so a worker needs no context beyond the world itself —
+    results are identical no matter which worker runs the job, or in
+    what order.
 
-    ``plane_only`` skips Observation materialization and returns
-    :class:`~repro.sim.batch.PlaneSlice` columns for streamed analyses.
+    ``planned=False`` loops the unplanned oracle over the trials instead
+    of running the kernel (the differential reference,
+    ``run_campaign(..., planned=False)``).  ``plane_only`` returns
+    :class:`~repro.sim.batch.PlaneSlice` columns for streamed analyses
+    instead of full observations.
     """
 
     index: int
@@ -127,24 +109,24 @@ class TrialBatchJob:
     plane_only: bool = False
 
 
-#: Anything an executor can schedule.
-Job = Union[ObservationJob, TrialBatchJob]
+#: What an executor schedules.
+Job = TrialBatchJob
 
 
 @dataclass(frozen=True)
 class JobResult:
-    """An observation plus the instrumentation the report aggregates.
+    """A job's outputs plus the instrumentation the report aggregates.
 
-    For a :class:`TrialBatchJob`, ``observation`` is a tuple of per-trial
-    outputs (in ``job.trials`` order) instead of a single observation.
+    ``observation`` is the tuple of per-trial outputs, in ``job.trials``
+    order.
     """
 
     index: int
-    observation: Union[Observation, Tuple[BatchOutput, ...]]
+    observation: Tuple[BatchOutput, ...]
     wall_s: float
     worker: str
-    #: Per-stage wall times of this observation (planned jobs only),
-    #: as ``(stage, seconds)`` pairs.
+    #: Per-stage wall times of this job (kernel jobs only), as
+    #: ``(stage, seconds)`` pairs.
     stages: Tuple[Tuple[str, float], ...] = ()
     #: Job-local telemetry snapshot (:meth:`Telemetry.snapshot`), present
     #: when the grid ran under an active telemetry context.  Plain data,
@@ -172,8 +154,8 @@ class ExecutionReport:
     wall_s: float
     job_wall_s: Tuple[float, ...]
     workers_used: int
-    #: Observe-stage → total seconds, summed over every planned job (see
-    #: :class:`repro.sim.plan.ObserveProfile`); empty for unplanned runs.
+    #: Observe-stage → total seconds, summed over every kernel job (see
+    #: :class:`repro.sim.plan.ObserveProfile`); empty for oracle runs.
     stage_s: Tuple[Tuple[str, float], ...] = ()
     #: How the world reached the workers (``"shm"`` or ``"pickle"``);
     #: empty for backends that share the world in-process.
@@ -217,11 +199,7 @@ class ExecutionReport:
 
 def run_job(world: World, job: Job, collect: bool = False,
             trace: Optional[TraceContext] = None) -> JobResult:
-    """Execute one job against a world (any backend).
-
-    Dispatches on the job type: an :class:`ObservationJob` runs one
-    per-cell observation; a :class:`TrialBatchJob` runs the fused
-    trial-batch kernel and returns a tuple of per-trial outputs.
+    """Execute one trial batch against a world (any backend).
 
     With ``collect=True`` the job runs under a fresh job-local
     :class:`~repro.telemetry.context.Telemetry` whose snapshot rides back
@@ -232,44 +210,8 @@ def run_job(world: World, job: Job, collect: bool = False,
     the snapshot carries it back across the pickle boundary, so adopted
     spans stay correlated with the tree that spawned them.
     """
-    if isinstance(job, TrialBatchJob):
-        return _run_batch_job(world, job, collect, trace)
     start = time.perf_counter()
-    scanner = ZMapScanner(job.config)
     profile = ObserveProfile() if job.planned else None
-    worker = f"{os.getpid()}/{threading.current_thread().name}"
-    snapshot = None
-    if collect:
-        job_tel = Telemetry(
-            trace_id=trace.trace_id if trace is not None else None)
-        with use(job_tel):
-            with job_tel.span("executor.job", index=job.index,
-                              protocol=job.protocol, trial=job.trial,
-                              origin=job.origin.name):
-                observation = world.observe(
-                    job.protocol, job.trial, job.origin, scanner,
-                    job.origin_names, first_trial=job.first_trial,
-                    plan=None if job.planned else False, profile=profile)
-        job_tel.count("executor.jobs", 1)
-        job_tel.count("runtime.worker_jobs", 1, worker=worker)
-        snapshot = job_tel.snapshot()
-    else:
-        observation = world.observe(
-            job.protocol, job.trial, job.origin, scanner, job.origin_names,
-            first_trial=job.first_trial,
-            plan=None if job.planned else False, profile=profile)
-    wall = time.perf_counter() - start
-    stages = tuple(profile.stage_s.items()) if profile is not None else ()
-    return JobResult(job.index, observation, wall, worker, stages,
-                     snapshot, _peak_rss())
-
-
-def _run_batch_job(world: World, job: TrialBatchJob, collect: bool,
-                   trace: Optional[TraceContext]) -> JobResult:
-    """Run one fused trial batch (see :func:`run_job`)."""
-    start = time.perf_counter()
-    scanners = tuple(ZMapScanner(config) for config in job.configs)
-    profile = ObserveProfile()
     worker = f"{os.getpid()}/{threading.current_thread().name}"
     snapshot = None
     if collect:
@@ -281,21 +223,34 @@ def _run_batch_job(world: World, job: TrialBatchJob, collect: bool,
                               origin=job.origin.name,
                               n_trials=len(job.trials),
                               trials=[int(t) for t in job.trials]):
-                observations = observe_trial_batch(
-                    world, job.protocol, job.origin, job.trials, scanners,
-                    job.origin_names, first_trial=job.first_trial,
-                    plane_only=job.plane_only, profile=profile)
+                outputs = _observe_job(world, job, profile)
         job_tel.count("executor.jobs", 1)
         job_tel.count("runtime.worker_jobs", 1, worker=worker)
         snapshot = job_tel.snapshot()
     else:
-        observations = observe_trial_batch(
+        outputs = _observe_job(world, job, profile)
+    wall = time.perf_counter() - start
+    stages = tuple(profile.stage_s.items()) if profile is not None else ()
+    return JobResult(job.index, tuple(outputs), wall, worker, stages,
+                     snapshot, _peak_rss())
+
+
+def _observe_job(world: World, job: Job,
+                 profile: Optional[ObserveProfile]) -> List[BatchOutput]:
+    """The kernel over the job's trials, or the oracle cell by cell."""
+    scanners = [ZMapScanner(config) for config in job.configs]
+    if job.planned:
+        return observe_trial_batch(
             world, job.protocol, job.origin, job.trials, scanners,
             job.origin_names, first_trial=job.first_trial,
             plane_only=job.plane_only, profile=profile)
-    wall = time.perf_counter() - start
-    return JobResult(job.index, tuple(observations), wall, worker,
-                     tuple(profile.stage_s.items()), snapshot, _peak_rss())
+    outputs: List[BatchOutput] = []
+    for trial, scanner in zip(job.trials, scanners):
+        obs = world.observe(job.protocol, trial, job.origin, scanner,
+                            job.origin_names, first_trial=job.first_trial,
+                            plan=False)
+        outputs.append(PlaneSlice.of(obs) if job.plane_only else obs)
+    return outputs
 
 
 class Executor(ABC):

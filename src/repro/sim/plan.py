@@ -1,7 +1,9 @@
-"""Compiled observation plans for the ``World.observe()`` hot path.
+"""Compiled observation plans for the trial-batch kernel.
 
 A plan precomputes, once per (protocol, scanner configuration), everything
-about an observation that does not depend on the trial or the origin:
+about an observation that does not depend on the trial or the origin
+(the scanner-independent part is shared per protocol as
+:class:`HostCaches`):
 
 * a **CSR-style AS-grouping index** over the protocol view, so "which kept
   services belong to AS *i*" is a slice lookup instead of an
@@ -16,12 +18,14 @@ about an observation that does not depend on the trial or the origin:
   that block it, so coverage draws run over concatenated member indices
   in a handful of vectorized operations.
 
-Plans are pure acceleration: the planned and unplanned observation paths
-are byte-identical for every :class:`~repro.sim.world.Observation` field
-(differential suite: ``tests/test_plan_equivalence.py``).  Every cached
-draw is a pure function of ``(seed, stream key, counters)``, so slicing a
-full-view cache by the per-trial ``keep`` subset reproduces exactly the
-draws the unplanned path makes on the subset.
+Plans are pure acceleration: the compiled kernel
+(:func:`repro.sim.batch.observe_trial_batch`) and the unplanned oracle are
+byte-identical for every :class:`~repro.sim.world.Observation` field
+(differential suites: ``tests/test_plan_equivalence.py``,
+``tests/test_batch_equivalence.py``).  Every cached draw is a pure
+function of ``(seed, stream key, counters)``, so slicing a full-view
+cache by the per-trial ``keep`` subset reproduces exactly the draws the
+oracle makes on the subset.
 
 Plans are picklable, but :class:`~repro.sim.world.World` deliberately
 drops its plan cache when pickled (process-executor payloads stay small;
@@ -33,21 +37,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-#: Stage names in reporting order (used by profile rendering).
-STAGES = ("filter", "schedule", "l4_static", "l4_ids", "path", "l7")
+#: Kernel stage names in reporting order (used by profile rendering).
+#: Each stage covers every trial of a batch at once; ``emit`` is the
+#: final row/plane materialization.
+STAGES = ("filter", "schedule", "l4_static", "l4_ids", "path", "l7",
+          "emit")
 
 
 class ObserveProfile:
-    """Per-stage wall-time accumulator for planned observations.
+    """Per-stage wall-time accumulator for kernel observations.
 
-    One profile lives on each plan (accumulating across every call that
-    used the plan); callers may pass their own to
-    :meth:`~repro.sim.world.World.observe` to meter a single call.  The
-    executor aggregates per-job profiles into
+    Callers pass one to :meth:`~repro.sim.world.World.observe` or
+    :func:`~repro.sim.batch.observe_trial_batch` to meter their calls.
+    The executor aggregates per-job profiles into
     ``metadata["execution"]["stages"]`` so benchmark regressions can be
     attributed to a stage.
     """
@@ -100,39 +106,38 @@ class ObserveProfile:
 
 
 class _StageTimer:
-    """Stamps stage boundaries into one or more profiles.
+    """Stamps stage boundaries into an optional profile.
 
     When an enabled telemetry context is passed, every stamp also emits
-    an ``observe.<stage>`` child span (wall + CPU time) into it — the
-    stage spans of the run journal and the :class:`ObserveProfile`
+    an ``observe.batched.<stage>`` child span (wall + CPU time) into it —
+    the stage spans of the run journal and the :class:`ObserveProfile`
     numbers come from the same boundary, so they can never disagree.
     """
 
-    __slots__ = ("profiles", "_last", "_tel", "_cpu_last", "_prefix")
+    __slots__ = ("profile", "_last", "_tel", "_cpu_last")
 
-    def __init__(self, *profiles: Optional[ObserveProfile],
-                 tel=None, prefix: str = "observe.") -> None:
-        self.profiles = [p for p in profiles if p is not None]
+    def __init__(self, profile: Optional[ObserveProfile],
+                 tel=None) -> None:
+        self.profile = profile
         self._tel = tel if tel is not None and tel.enabled else None
-        self._prefix = prefix
         self._last = time.perf_counter()
         self._cpu_last = time.process_time() if self._tel else 0.0
 
     def stamp(self, stage: str) -> None:
         now = time.perf_counter()
         elapsed = now - self._last
-        for profile in self.profiles:
-            profile.add(stage, elapsed)
+        if self.profile is not None:
+            self.profile.add(stage, elapsed)
         self._last = now
         if self._tel is not None:
             cpu_now = time.process_time()
-            self._tel.span_event(f"{self._prefix}{stage}", elapsed,
+            self._tel.span_event(f"observe.batched.{stage}", elapsed,
                                  cpu_now - self._cpu_last)
             self._cpu_last = cpu_now
 
     def finish(self, n_services: int) -> None:
-        for profile in self.profiles:
-            profile.count_observation(n_services)
+        if self.profile is not None:
+            self.profile.count_observation(n_services)
 
 
 class ASGrouping:
@@ -237,56 +242,23 @@ class HostCaches:
     blocking specs) and the protocol — none of it depends on the scanner
     seed, shard, or schedule.  A campaign reseeds the scanner per trial
     (``seed + trial``), which keys a fresh :class:`ObservationPlan` per
-    trial; hoisting these arrays into one shared cache makes the
-    per-trial plan build cheap (eligibility + schedule only) and lets
-    the fused trial-batch kernel (:mod:`repro.sim.batch`) gather host
-    state once for a whole trial axis.  Plans built from the same cache
-    share these arrays by reference — including the lazy ``persist_u``
-    per-origin dict, which is scanner-independent by construction.
-    """
-
-    protocol: str
-    n_view: int
-    n_ases: int
-    geo_version: Tuple[int, int]
-    grouping: ASGrouping
-    geo_full: np.ndarray
-    host_ids_full: np.ndarray       # uint64
-    stable_full: np.ndarray         # bool (churn stability class)
-    dead_full: np.ndarray           # bool (persistently L7-dead)
-    flaky_full: np.ndarray          # bool (transiently flaky membership)
-    drop_full: np.ndarray           # bool (failure style: drop vs close)
-    ms_affected_full: Optional[np.ndarray]   # bool, SSH only
-    ms_probs_full: Optional[np.ndarray]      # float64, SSH only
-    ms_style_full: Optional[np.ndarray]      # bool, SSH only (RST vs FIN)
-    static_systems: Tuple[int, ...]
-    ids_systems: Tuple[int, ...]
-    temporal_systems: Tuple[int, ...]
-    #: Shared across every plan of this protocol (draws are
-    #: scanner-independent: keyed by origin state group and host id only).
-    persist_u: Dict[str, np.ndarray] = field(default_factory=dict)
-
-
-@dataclass
-class ObservationPlan:
-    """Precomputed state for fast observations of one (protocol, config).
-
-    Built by :meth:`repro.sim.world.World.plan`; reused across every trial
-    and origin of a campaign.  All fields are plain data (picklable).
+    trial; every plan of a protocol shares this cache by reference, so
+    per-trial plan builds are cheap (eligibility + schedule only) and the
+    trial-batch kernel (:mod:`repro.sim.batch`) gathers host state once
+    for a whole trial axis.
     """
 
     protocol: str
     n_view: int
     n_ases: int
     #: :attr:`repro.topology.geo.GeoIPDatabase.version` at build time; a
-    #: mismatch on fetch invalidates the plan (stale ``geo_full``).
+    #: mismatch on fetch invalidates the cache and every plan sharing it
+    #: (stale ``geo_full``).
     geo_version: Tuple[int, int]
     grouping: ASGrouping
-    # Full-view cross-call caches, sliced by ``keep`` per observation.
+    # Full-view caches, sliced by ``keep`` per observation.
     geo_full: np.ndarray
     host_ids_full: np.ndarray       # uint64
-    eligible_full: np.ndarray       # bool
-    base_first_full: np.ndarray     # float64, drift-free first-probe times
     stable_full: np.ndarray         # bool (churn stability class)
     dead_full: np.ndarray           # bool (persistently L7-dead)
     flaky_full: np.ndarray          # bool (transiently flaky membership)
@@ -298,17 +270,32 @@ class ObservationPlan:
     static_systems: Tuple[int, ...]
     ids_systems: Tuple[int, ...]
     temporal_systems: Tuple[int, ...]
-    # Lazy per-origin caches (identical on rebuild: draws are pure).
-    origin_policies: Dict[str, CompiledOriginPolicy] = \
-        field(default_factory=dict)
+    #: Lazy per-origin persistent-loss draws (scanner-independent by
+    #: construction: keyed by origin state group and host id only).
     persist_u: Dict[str, np.ndarray] = field(default_factory=dict)
-    profile: ObserveProfile = field(default_factory=ObserveProfile)
 
     def position_of_row(self, keep: np.ndarray) -> np.ndarray:
         """Full-view row index → position in the kept subset (-1 if cut)."""
         positions = np.full(self.n_view, -1, dtype=np.int64)
         positions[keep] = np.arange(len(keep), dtype=np.int64)
         return positions
+
+
+@dataclass
+class ObservationPlan:
+    """The scanner-dependent state of one (protocol, scanner config).
+
+    Built by :meth:`repro.sim.world.World.plan`; reused across every
+    origin of a trial.  All fields are plain data (picklable).
+    """
+
+    caches: HostCaches
+    eligible_full: np.ndarray       # bool
+    base_first_full: np.ndarray     # float64, drift-free first-probe times
+    #: Lazy per-origin compiled policies (identical on rebuild: draws are
+    #: pure; IDS detection depends on the scanner's probe rate).
+    origin_policies: Dict[str, CompiledOriginPolicy] = \
+        field(default_factory=dict)
 
 
 def sorted_membership_mask(sorted_ips: np.ndarray,

@@ -39,7 +39,6 @@ executor backends.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -352,7 +351,6 @@ def run_sharded_campaign(sharded: ShardedWorld,
                          executor=None,
                          workers: Optional[int] = None,
                          planned: bool = True,
-                         batch: Optional[bool] = None,
                          budget: Optional[int] = None,
                          collect: bool = False,
                          origin_universe: Optional[Sequence[str]] = None,
@@ -372,21 +370,21 @@ def run_sharded_campaign(sharded: ShardedWorld,
     (default ``REPRO_MEMORY_BUDGET``) raise :class:`MemoryBudgetError`
     with a re-sharding hint *before* any memory is committed.
 
-    ``batch`` selects fused trial-batch jobs (default on, see
-    :mod:`repro.sim.batch`): each shard schedules one job per
-    (protocol, origin) covering its whole trial axis.  Without
-    ``collect`` the batched jobs run in *plane-only* mode — the kernel
-    emits :class:`~repro.sim.batch.PlaneSlice` columns that stream
-    straight into the packed bit-plane accumulators, skipping
-    per-cell ``Observation``/``TrialData`` materialization entirely.
-    Accumulated planes and analyses are byte-identical either way.
+    Each shard schedules one trial-batch job per (protocol, origin)
+    covering its whole trial axis (see :mod:`repro.sim.batch`).  Without
+    ``collect`` the jobs run in *plane-only* mode — the kernel emits
+    :class:`~repro.sim.batch.PlaneSlice` columns that stream straight
+    into the packed bit-plane accumulators, skipping per-cell
+    ``Observation``/``TrialData`` materialization entirely.  Accumulated
+    planes and analyses are byte-identical either way.
 
     In plane-only mode every (protocol, origin, shard, trial) unit is
     probed against the plane cache (:mod:`repro.serve.planecache`)
     before dispatch, so a warm re-run with one new origin recomputes
     only that origin's batches; ``plane_cache=False`` (or
     ``REPRO_PLANE_CACHE=0``) forces the non-incremental reference
-    path.  ``origin_universe`` pins the origin-name list that shared
+    path, and the unplanned oracle (``planned=False``) never touches
+    the cache.  ``origin_universe`` pins the origin-name list that shared
     outage draws see, letting origin *subsets* reuse units computed
     under the full scenario universe.
 
@@ -398,10 +396,8 @@ def run_sharded_campaign(sharded: ShardedWorld,
     small scale (it is exactly the memory the streaming path avoids).
     """
     from repro.core.dataset import CampaignDataset, TrialData
-    from repro.sim.batch import batch_enabled
-    from repro.sim.campaign import build_observation_grid, \
-        build_trial_batches, _merge_plane_outputs, _probe_plane_units, \
-        _stack, _universe_names
+    from repro.sim.campaign import build_trial_batches, _by_cell, \
+        _run_units, _stack, _universe_names
     from repro.sim.executor import make_executor
 
     tel = _telemetry()
@@ -422,18 +418,12 @@ def run_sharded_campaign(sharded: ShardedWorld,
                 f"shards (smaller max_hosts) or raise "
                 f"{ENV_MEMORY_BUDGET}")
 
-    batched = batch_enabled(batch, planned)
-    plane_only = batched and not collect
-    if batched:
-        jobs = build_trial_batches(origins, zmap, protocols, n_trials,
-                                   planned=planned, plane_only=plane_only,
-                                   origin_universe=origin_universe)
-    else:
-        jobs = build_observation_grid(origins, zmap, protocols, n_trials,
-                                      planned=planned,
-                                      origin_universe=origin_universe)
+    plane_only = not collect
+    jobs = build_trial_batches(origins, zmap, protocols, n_trials,
+                               planned=planned, plane_only=plane_only,
+                               origin_universe=origin_universe)
     session = None
-    if plane_only:
+    if plane_only and planned:
         from repro.serve import planecache
         session = planecache.session_for(
             sharded, zmap, _universe_names(origins, origin_universe),
@@ -449,8 +439,7 @@ def run_sharded_campaign(sharded: ShardedWorld,
     reports = []
     with tel.span("shard.run_campaign", n_shards=sharded.n_shards,
                   n_jobs=len(jobs) * sharded.n_shards,
-                  budget_bytes=limit, batch=batched,
-                  plane_only=plane_only):
+                  budget_bytes=limit, plane_only=plane_only):
         for index in range(sharded.n_shards):
             with tel.span("shard.stream", shard=index,
                           rows=int(sharded.manifest.n_hosts[index])):
@@ -458,47 +447,13 @@ def run_sharded_campaign(sharded: ShardedWorld,
                 present = {p: len(world.hosts.for_protocol(p)) > 0
                            for p in protocols}
                 live = [j for j in jobs if present[j.protocol]]
-                if session is not None:
-                    reduced, cached = _probe_plane_units(
-                        live,
-                        lambda job, trial: session.probe(
-                            job.protocol, job.origin.name, trial,
-                            shard_index=index))
-                else:
-                    reduced, cached = live, {}
-                if reduced:
-                    observations, report = backend.run_grid(world, reduced)
+                outputs, report = _run_units(world, live, backend, session,
+                                             shard_index=index)
+                if report is not None:
                     reports.append(report)
-                    by_index = dict(zip((j.index for j in reduced),
-                                        observations))
-                else:
-                    by_index = {}
-                if session is not None:
-                    # Per-job outputs, cache hits and fresh planes merged
-                    # back into job-trial order; fresh units persist as
-                    # they stream through.
-                    by_index = _merge_plane_outputs(
-                        live, by_index, cached,
-                        store=lambda job, trial, plane: session.store(
-                            job.protocol, job.origin.name, trial, plane,
-                            shard_index=index))
-                # One (origin name, output-or-None) list per cell; batch
-                # jobs iterate origins in campaign order per protocol,
-                # recovering exactly the per-cell grid's origin order.
-                by_cell: Dict[Tuple[str, int], List] = {}
-                if batched:
-                    for job in jobs:
-                        outputs = by_index.get(job.index)
-                        for k, trial in enumerate(job.trials):
-                            by_cell.setdefault(
-                                (job.protocol, trial), []).append(
-                                (job.origin.name,
-                                 None if outputs is None else outputs[k]))
-                else:
-                    for job in jobs:
-                        by_cell.setdefault(
-                            (job.protocol, job.trial), []).append(
-                            (job.origin.name, by_index.get(job.index)))
+                # A protocol this shard holds no hosts of contributes
+                # ``None`` outputs, reduced as zero rows.
+                by_cell = _by_cell(jobs, outputs)
                 for protocol, trial in cells:
                     members = by_cell[(protocol, trial)]
                     names = [name for name, _ in members]
@@ -517,14 +472,12 @@ def run_sharded_campaign(sharded: ShardedWorld,
                     table = _stack(protocol, trial, names, obs,
                                    zmap.n_probes)
                     acc.add_shard(table)
-                    if collect:
-                        collected.setdefault((protocol, trial),
-                                             []).append(table)
+                    collected.setdefault((protocol, trial),
+                                         []).append(table)
                 tel.count("shard.shards_processed", 1)
-                del world, by_index
+                del world, outputs
 
     metadata = _merge_metadata(sharded, zmap, origins, n_trials, reports)
-    metadata["batch"] = batched
     if session is not None:
         metadata["plane_cache"] = session.stats()
     result = StreamingCampaignResult(accumulators, metadata=metadata)

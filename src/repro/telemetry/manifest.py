@@ -66,9 +66,9 @@ def per_trial_span_tree(records: List[dict]) -> List[dict]:
     """Aggregate span records by the (protocol, trial) of their job.
 
     Walks each span's parent chain up to the nearest span carrying
-    ``protocol`` plus either ``trial`` (a per-cell executor job) or
-    ``trials`` (a fused trial-batch job / ``batch.stream`` span, which
-    covers several grid cells at once) and folds wall time and counts
+    ``protocol`` plus either ``trial`` (an ``observe`` span of one cell)
+    or ``trials`` (an executor job / ``batch.stream`` span, which covers
+    several grid cells at once) and folds wall time and counts
     per span name under each covered trial.  A batch span counts once
     under every trial it covers; its wall time is split evenly so the
     per-trial totals still sum to the measured wall.

@@ -1,17 +1,18 @@
-"""Differential suite for the fused trial-batch kernels.
+"""Differential suite for the trial-batch kernel.
 
 :mod:`repro.sim.batch` re-derives every per-cell draw as a lattice over
 the trial axis, so its one non-negotiable contract is *byte identity*
-with the per-cell planned path — same ``Observation`` columns, same
-campaign signatures across backends, same streamed planes.  This suite
-pins that contract three ways:
+with the unplanned oracle (``World.observe(..., plan=False)``) — same
+``Observation`` columns, same campaign signatures across backends, same
+streamed planes.  This suite pins that contract three ways:
 
 * hypothesis property tests on the array-of-trials RNG helpers (the
   identity everything else rests on);
-* cell-by-cell kernel differentials against ``world.observe`` —
-  including targets subsets, ZMap shard configs, and plane-only mode;
-* end-to-end campaign/sharded differentials plus the ``REPRO_BATCH``
-  resolution rules and the batched metadata/job-count surface.
+* cell-by-cell kernel differentials against the oracle — full and
+  one-trial batches, late joiners, targets subsets, ZMap shard configs,
+  and plane-only mode;
+* end-to-end campaign/sharded differentials against ``planned=False``
+  plus the job-granularity surface.
 """
 
 import dataclasses
@@ -25,9 +26,8 @@ from hypothesis import given, settings, strategies as st
 from repro.rng import (CounterRNG, keyed_bits_lattice, keyed_uniform_array,
                        keyed_uniform_lattice, stream_keys)
 from repro.scanner.zmap import ZMapScanner
-from repro.sim.batch import (PlaneSlice, batch_enabled, observe_trial_batch)
-from repro.sim.campaign import (build_observation_grid, build_trial_batches,
-                                run_campaign)
+from repro.sim.batch import PlaneSlice, observe_trial_batch
+from repro.sim.campaign import build_trial_batches, run_campaign
 from repro.sim.scenario import paper_scenario, paper_sharded_scenario
 from repro.sim.shard import run_sharded_campaign
 
@@ -120,39 +120,7 @@ class TestLatticeHelpers:
 
 
 # ----------------------------------------------------------------------
-# Switch resolution
-# ----------------------------------------------------------------------
-
-class TestBatchEnabled:
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert batch_enabled() is True
-
-    def test_unplanned_is_never_batched(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert batch_enabled(planned=False) is False
-        assert batch_enabled(batch=True, planned=False) is False
-
-    @pytest.mark.parametrize("value", ["0", "false", "no", "off",
-                                       " OFF ", "False"])
-    def test_env_opt_out(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BATCH", value)
-        assert batch_enabled() is False
-
-    @pytest.mark.parametrize("value", ["1", "true", "yes", "on", ""])
-    def test_env_other_values_stay_on(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BATCH", value)
-        assert batch_enabled() is True
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        assert batch_enabled(batch=True) is True
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert batch_enabled(batch=False) is False
-
-
-# ----------------------------------------------------------------------
-# Kernel-level byte identity against world.observe
+# Kernel-level byte identity against the oracle
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module", params=(3, 17), ids=lambda s: f"seed{s}")
@@ -160,46 +128,58 @@ def small_world(request):
     return paper_scenario(seed=request.param, scale=SCALE)
 
 
-def batch_jobs_for(origins, config, protocols, n_trials):
-    return build_trial_batches(origins, config, protocols, n_trials)
+def assert_matches_oracle(world, protocol, origin, trials, scanners,
+                          names, first_trial=0, targets=None):
+    """The full batch, and every one-trial batch, equal the oracle."""
+    batched = observe_trial_batch(world, protocol, origin, trials,
+                                  scanners, names, first_trial=first_trial,
+                                  targets=targets)
+    for trial, scanner, obs in zip(trials, scanners, batched):
+        reference = observation_bytes(world.observe(
+            protocol, trial, origin, scanner, names,
+            first_trial=first_trial, targets=targets, plan=False))
+        assert observation_bytes(obs) == reference
+        single = observe_trial_batch(world, protocol, origin, (trial,),
+                                     (scanner,), names,
+                                     first_trial=first_trial,
+                                     targets=targets)
+        assert observation_bytes(single[0]) == reference
+
+
+def trial_scanners(config, trials):
+    return [ZMapScanner(dataclasses.replace(config, seed=config.seed + t))
+            for t in trials]
 
 
 class TestKernelEquivalence:
     def test_every_cell_byte_identical(self, small_world):
-        """The headline guarantee: output element *i* of a batch equals
-        the per-cell observation of ``trials[i]``, byte for byte, for
-        every (protocol, origin) of the paper grid."""
+        """The headline guarantee: output element *i* of a batch — and of
+        a one-trial batch — equals the oracle observation of
+        ``trials[i]``, byte for byte, for every (protocol, origin) of the
+        paper grid plus a late joiner (``first_trial=1``)."""
         world, origins, config = small_world
+        late = dataclasses.replace(origins[0], name="LATE", trials=(1, 2))
+        origins = tuple(origins) + (late,)
         names = tuple(o.name for o in origins)
         n_trials = 3
-        for job in build_trial_batches(origins, config,
-                                       ("http", "https", "ssh"), n_trials):
-            scanners = [ZMapScanner(c) for c in job.configs]
-            batched = observe_trial_batch(
-                world, job.protocol, job.origin, job.trials, scanners,
-                names, first_trial=job.first_trial)
-            for trial, scanner, obs in zip(job.trials, scanners, batched):
-                reference = world.observe(
-                    job.protocol, trial, job.origin, scanner, names,
-                    first_trial=job.first_trial)
-                assert observation_bytes(obs) == observation_bytes(reference)
+        jobs = build_trial_batches(origins, config,
+                                   ("http", "https", "ssh"), n_trials)
+        assert {j.first_trial for j in jobs if j.origin is late} == {1}
+        for job in jobs:
+            assert_matches_oracle(
+                world, job.protocol, job.origin, job.trials,
+                [ZMapScanner(c) for c in job.configs], names,
+                first_trial=job.first_trial)
 
     def test_targets_subset_matches_per_cell(self, small_world):
         world, origins, config = small_world
         names = tuple(o.name for o in origins)
         view = world.hosts.for_protocol("http")
         targets = view.ip[::3].copy()
-        origin = origins[0]
         trials = (0, 1, 2)
-        scanners = [ZMapScanner(dataclasses.replace(config,
-                                                    seed=config.seed + t))
-                    for t in trials]
-        batched = observe_trial_batch(world, "http", origin, trials,
-                                      scanners, names, targets=targets)
-        for trial, scanner, obs in zip(trials, scanners, batched):
-            reference = world.observe("http", trial, origin, scanner,
-                                      names, targets=targets)
-            assert observation_bytes(obs) == observation_bytes(reference)
+        assert_matches_oracle(world, "http", origins[0], trials,
+                              trial_scanners(config, trials), names,
+                              targets=targets)
 
     def test_zmap_shard_config_matches_per_cell(self, small_world):
         """ZMap-style sharded configs (n_shards/shard) flow through the
@@ -207,17 +187,9 @@ class TestKernelEquivalence:
         world, origins, config = small_world
         names = tuple(o.name for o in origins)
         sharded = dataclasses.replace(config, n_shards=4, shard=1)
-        origin = origins[1]
         trials = (0, 1)
-        scanners = [ZMapScanner(dataclasses.replace(sharded,
-                                                    seed=sharded.seed + t))
-                    for t in trials]
-        batched = observe_trial_batch(world, "https", origin, trials,
-                                      scanners, names)
-        for trial, scanner, obs in zip(trials, scanners, batched):
-            reference = world.observe("https", trial, origin, scanner,
-                                      names)
-            assert observation_bytes(obs) == observation_bytes(reference)
+        assert_matches_oracle(world, "https", origins[1], trials,
+                              trial_scanners(sharded, trials), names)
 
     def test_plane_only_matches_observation_success(self, small_world):
         world, origins, config = small_world
@@ -263,45 +235,37 @@ class TestKernelEquivalence:
 class TestCampaignEquivalence:
     def test_batched_matches_per_cell_across_backends(self, small_world):
         world, origins, config = small_world
-        reference = run_campaign(world, origins, config, batch=False)
-        assert reference.metadata["batch"] is False
+        reference = run_campaign(world, origins, config, planned=False)
+        assert "batch" not in reference.metadata
         for backend, workers in (("serial", None), ("thread", 4),
                                  ("process", 2)):
-            batched = run_campaign(world, origins, config, batch=True,
+            batched = run_campaign(world, origins, config,
                                    executor=backend, workers=workers)
-            assert batched.metadata["batch"] is True
             assert dataset_signature(batched) == dataset_signature(reference)
 
     def test_batch_job_granularity(self, small_world):
-        """One job per (protocol, origin) instead of per cell."""
+        """One job per (protocol, origin), covering every grid cell."""
         world, origins, config = small_world
         protocols = ("http", "https", "ssh")
         batches = build_trial_batches(origins, config, protocols, 3)
-        grid = build_observation_grid(origins, config, protocols, 3)
+        cells = sum(o.participates(t) for o in origins for t in range(3))
         assert len(batches) == len(protocols) * len(origins)
-        assert len(batches) < len(grid)
-        assert sum(len(job.trials) for job in batches) == len(grid)
-        batched = run_campaign(world, origins, config, batch=True)
+        assert sum(len(job.trials) for job in batches) \
+            == len(protocols) * cells
+        batched = run_campaign(world, origins, config)
         assert batched.metadata["execution"]["n_jobs"] == len(batches)
 
-    def test_env_opt_out_flows_through_run_campaign(self, small_world,
-                                                    monkeypatch):
-        world, origins, config = small_world
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        dataset = run_campaign(world, origins, config,
-                               protocols=("http",), n_trials=2)
-        assert dataset.metadata["batch"] is False
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        dataset = run_campaign(world, origins, config,
-                               protocols=("http",), n_trials=2)
-        assert dataset.metadata["batch"] is True
-
     def test_unplanned_campaign_is_never_batched(self, small_world):
+        """``planned=False`` loops the oracle over each job's trials: no
+        kernel stage runs, and the dataset equals the kernel's."""
         world, origins, config = small_world
         dataset = run_campaign(world, origins, config,
                                protocols=("http",), n_trials=1,
-                               planned=False, batch=True)
-        assert dataset.metadata["batch"] is False
+                               planned=False)
+        assert dataset.metadata["execution"]["stages"] == {}
+        kernel = run_campaign(world, origins, config,
+                              protocols=("http",), n_trials=1)
+        assert dataset_signature(dataset) == dataset_signature(kernel)
 
 
 class TestShardedBatchEquivalence:
@@ -310,23 +274,21 @@ class TestShardedBatchEquivalence:
         return paper_sharded_scenario(seed=5, scale=SCALE, n_shards=3)
 
     def test_streamed_planes_identical(self, sharded_scenario):
-        """Plane-only batched streaming reduces to the same packed
-        planes and per-AS tallies as per-cell streaming."""
+        """Plane-only kernel streaming reduces to the same packed planes
+        and per-AS tallies as oracle streaming."""
         sharded, origins, config = sharded_scenario
         batched = run_sharded_campaign(sharded, origins, config,
-                                       n_trials=2, batch=True)
+                                       n_trials=2)
         reference = run_sharded_campaign(sharded, origins, config,
-                                         n_trials=2, batch=False)
-        assert batched.metadata["batch"] is True
-        assert reference.metadata["batch"] is False
+                                         n_trials=2, planned=False)
+        assert "plane_cache" not in reference.metadata
         assert streaming_signature(batched) == streaming_signature(reference)
 
     def test_collected_dataset_matches_monolithic(self, sharded_scenario):
         sharded, origins, config = sharded_scenario
         _, collected = run_sharded_campaign(sharded, origins, config,
-                                            n_trials=2, batch=True,
-                                            collect=True)
+                                            n_trials=2, collect=True)
         world, morigins, mconfig = paper_scenario(seed=5, scale=SCALE)
         mono = run_campaign(world, morigins, mconfig, n_trials=2,
-                            batch=False)
+                            planned=False)
         assert dataset_signature(collected) == dataset_signature(mono)

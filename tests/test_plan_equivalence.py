@@ -1,13 +1,14 @@
 """Differential planned-vs-unplanned observation equivalence tests.
 
 The compiled observation plan (:mod:`repro.sim.plan`) is pure
-acceleration: ``World.observe(..., plan=None)`` (the default, planned)
-must be *byte-identical* to ``World.observe(..., plan=False)`` (the
-unplanned reference path) in every :class:`~repro.sim.world.Observation`
-field.  These tests pin that guarantee differentially across seeds,
-origins, trial positions (including late-join ``first_trial``), sharded
-configs, ``targets=`` subsets, and the campaign/executor layers
-(including plans crossing the process-pool pickle boundary).
+acceleration: ``World.observe(...)`` (the default: the compiled kernel
+over a one-trial batch) must be *byte-identical* to
+``World.observe(..., plan=False)`` (the unplanned oracle) in every
+:class:`~repro.sim.world.Observation` field.  These tests pin that
+guarantee differentially across seeds, origins, trial positions
+(including late-join ``first_trial``), sharded configs, ``targets=``
+subsets, and the campaign/executor layers (including plans crossing the
+process-pool pickle boundary).
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ import pytest
 from repro.blocking.ids import RateIDSSpec
 from repro.origins import Origin
 from repro.scanner.zmap import ZMapConfig, ZMapScanner
-from repro.sim.campaign import build_observation_grid, run_campaign
+from repro.sim.campaign import build_trial_batches, run_campaign
 from repro.sim.plan import ObservationPlan, ObserveProfile, STAGES
 from repro.sim.scenario import build_world_from_specs, paper_scenario
 from repro.sim.world import Observation, WorldDefaults
@@ -152,28 +153,6 @@ class TestObserveEquivalence:
                                         names, first_trial=first)
                 assert_identical(unplanned, planned)
 
-    def test_explicit_plan_reuse_across_trials(self, scenario):
-        """One plan object serves every trial and origin unchanged."""
-        world, origins, config = scenario
-        names = tuple(o.name for o in origins)
-        scanner = ZMapScanner(config)
-        plan = world.plan("ssh", scanner)
-        for trial in range(2):
-            for origin in origins[:3]:
-                planned = world.observe("ssh", trial, origin, scanner,
-                                        names, plan=plan)
-                unplanned = world.observe("ssh", trial, origin, scanner,
-                                          names, plan=False)
-                assert_identical(unplanned, planned)
-
-    def test_plan_protocol_mismatch_raises(self, scenario):
-        world, origins, config = scenario
-        scanner = ZMapScanner(config)
-        plan = world.plan("http", scanner)
-        with pytest.raises(ValueError, match="compiled for protocol"):
-            world.observe("ssh", 0, origins[0], scanner,
-                          (origins[0].name,), plan=plan)
-
 
 class TestPlanCaching:
     def test_plan_is_cached_per_config(self, scenario):
@@ -196,8 +175,14 @@ class TestPlanCaching:
         plan = world.plan("http", scanner)
         copy = pickle.loads(pickle.dumps(plan))
         assert isinstance(copy, ObservationPlan)
-        a = world.observe("http", 0, origins[0], scanner, names, plan=plan)
-        b = world.observe("http", 0, origins[0], scanner, names, plan=copy)
+        a = world.observe("http", 0, origins[0], scanner, names)
+        key = ("http", scanner.config)
+        world._plans[key] = copy
+        try:
+            assert world.plan("http", scanner) is copy
+            b = world.observe("http", 0, origins[0], scanner, names)
+        finally:
+            world._plans[key] = plan
         assert_identical(a, b)
 
     def test_world_pickle_drops_and_rebuilds_plans(self, scenario):
@@ -237,7 +222,7 @@ class TestCampaignEquivalence:
 
     def test_grid_carries_planned_flag(self, scenario):
         world, origins, config = scenario
-        default = build_observation_grid(origins, config, ("http",), 2)
+        default = build_trial_batches(origins, config, ("http",), 2)
         assert all(job.planned for job in default)
 
 
@@ -250,7 +235,7 @@ class TestTelemetryEquivalence:
         world, origins, config = scenario
         names = tuple(o.name for o in origins)
         scanner = ZMapScanner(config)
-        for plan_arg in (None, False):
+        for plan_arg in (True, False):
             bare = world.observe("http", 0, origins[0], scanner, names,
                                  plan=plan_arg)
             with Telemetry():
@@ -271,8 +256,8 @@ class TestTelemetryEquivalence:
 
     def test_planned_and_unplanned_agree_on_observe_counters(
             self, scenario):
-        """Only the planned path carries interior instrumentation (stage
-        spans, per-cause blocked-host counts), but the observation-level
+        """Only the kernel carries interior instrumentation (stage spans,
+        per-cause blocked-host counts), but the observation-level
         counters both paths emit must agree exactly — they describe the
         byte-identical output, not the implementation."""
         world, origins, config = scenario
@@ -304,11 +289,11 @@ class TestTelemetryEquivalence:
                     if r["t"] == "span"
                     and r["name"].startswith("observe.")]
 
-        assert set(stage_spans(None)) == {
-            f"observe.{s}" for s in STAGES}
+        assert set(stage_spans(True)) == {
+            f"observe.batched.{s}" for s in STAGES}
         assert stage_spans(False) == []
-        reference = build_observation_grid(origins, config, ("http",), 2,
-                                           planned=False)
+        reference = build_trial_batches(origins, config, ("http",), 2,
+                                        planned=False)
         assert not any(job.planned for job in reference)
 
 
@@ -318,9 +303,7 @@ class TestProfileMetadata:
         dataset = run_campaign(world, origins, config,
                                protocols=("http",), n_trials=2)
         stages = dataset.metadata["execution"]["stages"]
-        # Batched execution (the default) adds an "emit" stage after the
-        # six plan stages for materializing the per-trial outputs.
-        assert set(stages) == set(STAGES) | {"emit"}
+        assert set(stages) == set(STAGES)
         assert all(seconds >= 0.0 for seconds in stages.values())
 
     def test_unplanned_campaign_has_no_stages(self, scenario):
@@ -344,12 +327,14 @@ class TestProfileMetadata:
         for stage in STAGES:
             assert stage in rendered
 
-    def test_plan_profile_accumulates(self, scenario):
+    def test_caller_profile_accumulates(self, scenario):
         world, origins, config = scenario
         names = tuple(o.name for o in origins)
-        scanner = ZMapScanner(config)
-        plan = world.plan("https", scanner)
-        before = plan.profile.n_observations
-        world.observe("https", 0, origins[0], scanner, names)
-        world.observe("https", 1, origins[0], scanner, names)
-        assert plan.profile.n_observations == before + 2
+        profile = ObserveProfile()
+        world.observe("https", 0, origins[0], ZMapScanner(config), names,
+                      profile=profile)
+        world.observe("https", 1, origins[0], ZMapScanner(
+            dataclasses.replace(config, seed=config.seed + 1)), names,
+            profile=profile)
+        assert profile.n_observations == 2
+        assert profile.stage_calls["filter"] == 2

@@ -80,8 +80,10 @@ def test_cold_warm_and_disabled_are_byte_identical(scenario, plane_dir):
 
 
 def test_unbatched_path_matches_batched(scenario, plane_dir):
+    """The oracle (``planned=False``, which never touches the plane
+    cache) streams the same grid as the kernel."""
     batched = run(scenario, plane_cache=False)
-    unbatched = run(scenario, plane_cache=False, batch=False)
+    unbatched = run(scenario, planned=False)
     assert "plane_cache" not in unbatched.metadata
     assert grid_bytes(unbatched) == grid_bytes(batched)
 

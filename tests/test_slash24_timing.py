@@ -124,6 +124,27 @@ class TestDiurnal:
         assert np.nanargmax(a0) == 0
         assert np.nanargmax(a5) == 5
 
+    def test_tiny_negative_local_time_folds_into_hour_23(self):
+        """A first probe a hair before the local midnight a negative UTC
+        offset lands on must fold into hour 23: the float ``% 24`` once
+        rounded it up to a 25th hour (24.0) and the profile raised."""
+        # float32 just below 3600 s: 0.99999994 h, so local time is
+        # -6e-8 h at a -1 h offset.
+        just_before = float(np.nextafter(np.float32(3600.0),
+                                         np.float32(0.0)))
+        ips = [1000, 1001]
+        times = {o: [just_before, 7200.0] for o in ("A", "B")}
+        # B sees both hosts, keeping A's miss inside ground truth.
+        tables = [make_trial("http", 0, ["A", "B"], ips,
+                             l7={"A": ["drop", "ok"], "B": ["ok", "ok"]},
+                             time=times)]
+        ds = make_campaign(tables)
+        profile = diurnal_profile(ds, "http", origins=["A"],
+                                  utc_offsets={"A": -1.0})
+        assert profile.samples.shape == (1, 24)
+        assert profile.samples[0, 23] == 1 and profile.samples[0, 1] == 1
+        assert profile.miss_rate[0, 23] == 1.0
+
     def test_simulated_world_has_no_diurnal_pattern(self, http_campaign):
         profile = diurnal_profile(http_campaign, "http")
         for origin in profile.origins:
