@@ -37,7 +37,6 @@ import numpy as np
 from repro.core.bootstrap import (Interval, _percentile_interval,
                                   _replicate_stats)
 from repro.core.coverage import CoverageTable
-from repro.core.dataset import TrialData
 from repro.core.engine import PackedTrial, resolve_engine
 from repro.core.multi_origin import ComboCoverage, KOriginSummary
 from repro.rng import CounterRNG
@@ -85,9 +84,9 @@ class BitPlaneWriter:
 class StreamingTrial:
     """Accumulated planes and per-AS counts for one (protocol, trial).
 
-    Shards must be fed in shard order (:meth:`add_shard`), mirroring how
-    their host ranges concatenate to the monolithic table; ``finish()``
-    freezes the accumulation into a :class:`PackedTrial`.
+    Shards must be fed in shard order (:meth:`add_shard_planes`),
+    mirroring how their host ranges concatenate to the monolithic table;
+    ``finish()`` freezes the accumulation into a :class:`PackedTrial`.
     """
 
     protocol: str
@@ -103,50 +102,20 @@ class StreamingTrial:
     _packed: Optional[PackedTrial] = None
     _truth_plane: Optional[np.ndarray] = None
 
-    def add_shard(self, table: TrialData) -> None:
-        """Reduce one shard's trial table into the accumulators."""
-        if self._packed is not None:
-            raise RuntimeError("accumulation already finished")
-        if not self.origins:
-            self.origins = list(table.origins)
-            self._origin_writers = [BitPlaneWriter() for _ in self.origins]
-            self.truth_by_as = np.zeros(self.n_ases, dtype=np.int64)
-            self.seen_by_as = np.zeros((len(self.origins), self.n_ases),
-                                       dtype=np.int64)
-        elif list(table.origins) != self.origins:
-            raise ValueError(
-                f"shard origins {table.origins} disagree with "
-                f"{self.origins} — shards of one campaign share a grid")
-        truth = table.ground_truth()
-        self._truth_writer.append(truth)
-        self.total += int(truth.sum())
-        self.n_hosts += len(truth)
-        self.truth_by_as += np.bincount(table.as_index[truth],
-                                        minlength=self.n_ases)
-        for oi, origin in enumerate(self.origins):
-            seen = table.accessible(origin) & truth
-            self._origin_writers[oi].append(seen)
-            self.seen_by_as[oi] += np.bincount(table.as_index[seen],
-                                               minlength=self.n_ases)
-        # Deterministic by construction — shard order and row counts are
-        # fixed by the manifest — so this stays outside EXCLUDED_PREFIXES.
-        telemetry.count("streaming.rows_reduced", len(truth),
-                        protocol=self.protocol)
-
     def add_shard_planes(self, origins: Sequence[str],
                          as_index: np.ndarray,
                          accessible: np.ndarray) -> None:
         """Reduce one shard's pre-sliced success planes.
 
-        The plane-only fast path: ``accessible`` is an
-        ``(n_origins, n_rows)`` boolean matrix (row order matching
-        ``origins``) of per-origin L7 success — exactly what
-        :class:`repro.sim.batch.PlaneSlice` carries — so a plane-only
-        trial batch streams into the accumulators without ever
-        materializing ``Observation`` rows or a ``TrialData``.  Performs
-        the same reductions in the same order as :meth:`add_shard`
-        (truth is the OR of the rows), so the finished planes and per-AS
-        counts are byte-identical to the materialized path's.
+        ``accessible`` is an ``(n_origins, n_rows)`` boolean matrix (row
+        order matching ``origins``) of per-origin L7 success — exactly
+        what :class:`repro.sim.batch.PlaneSlice` carries — so a
+        plane-only trial batch streams into the accumulators without
+        ever materializing ``Observation`` rows or a ``TrialData``.
+        Truth is the OR of the rows, the same reduction
+        :meth:`~repro.core.dataset.TrialData.ground_truth` performs, so
+        the finished planes and per-AS counts are byte-identical to the
+        packed engine's over the materialized dataset.
         """
         if self._packed is not None:
             raise RuntimeError("accumulation already finished")

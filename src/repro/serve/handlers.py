@@ -29,7 +29,6 @@ from repro.sim.campaign import (campaign_fingerprint, run_campaign,
 from repro.sim.executor import BACKENDS
 from repro.sim.scenario import (followup_scenario, paper_scenario,
                                 paper_sharded_scenario)
-from repro.sim.shard import run_sharded_campaign
 from repro.telemetry.context import current as _telemetry
 from repro.telemetry.manifest import config_hash, world_fingerprint
 from repro.topology.asn import PROTOCOLS
@@ -87,9 +86,9 @@ class CampaignRequest:
     protocols: Tuple[str, ...] = PROTOCOLS
     n_trials: int = 3
     engine: Optional[str] = None
-    #: ``> 1`` serves the campaign through the sharded streaming path
-    #: (``paper_sharded_scenario`` + ``run_sharded_campaign``) — same
-    #: bytes, bounded memory, one ``shard.stream`` span per shard.
+    #: ``> 1`` builds the world with ``paper_sharded_scenario`` and runs
+    #: it shard by shard through the same campaign loop — same bytes,
+    #: bounded memory, one ``shard.stream`` span per shard.
     shards: int = 1
     #: ``None`` scans with every scenario origin; otherwise a subset of
     #: :data:`SCENARIO_ORIGINS` (normalized to scenario order).  Either
@@ -328,50 +327,29 @@ def run_request(request: CampaignRequest, state: ServeState) -> ResultPayload:
     with tel.span("serve.compute", key=key[:12],
                   scenario=request.scenario, seed=request.seed,
                   shards=request.shards, surface=request.report):
-        plane_stats = None
+        # ``world`` is monolithic or sharded; both entry points take
+        # either, so the report surface alone picks the compute path.
         if request.report == "grid":
             # Streaming grid surface: plane-granular and incremental —
             # the run probes the plane cache per (protocol, origin,
             # shard, trial) unit and dispatches only the misses.
-            plane_extra = {"engine": request.engine or ""}
             dataset = None
-            if request.shards > 1:
-                result = run_sharded_campaign(
-                    world, selected, config,
-                    protocols=request.protocols,
-                    n_trials=request.n_trials,
-                    executor=state.executor, workers=state.workers,
-                    origin_universe=universe,
-                    plane_cache=state.plane_cache,
-                    plane_extra=plane_extra, plane_dir=state.cache_dir)
-            else:
-                result = run_plane_campaign(
-                    world, selected, config,
-                    protocols=request.protocols,
-                    n_trials=request.n_trials,
-                    executor=state.executor, workers=state.workers,
-                    origin_universe=universe,
-                    plane_cache=state.plane_cache,
-                    plane_extra=plane_extra, plane_dir=state.cache_dir)
+            result = run_plane_campaign(
+                world, selected, config, protocols=request.protocols,
+                n_trials=request.n_trials, executor=state.executor,
+                workers=state.workers, origin_universe=universe,
+                plane_cache=state.plane_cache,
+                plane_extra={"engine": request.engine or ""},
+                plane_dir=state.cache_dir)
             plane_stats = result.metadata.get("plane_cache")
             report = json.dumps(result.report(), sort_keys=True,
                                 indent=2, default=str) + "\n"
-        elif request.shards > 1:
-            _, dataset = run_sharded_campaign(world, selected, config,
-                                              protocols=request.protocols,
-                                              n_trials=request.n_trials,
-                                              executor=state.executor,
-                                              workers=state.workers,
-                                              origin_universe=universe,
-                                              collect=True)
-            report = full_report(dataset, engine=request.engine)
         else:
-            dataset = run_campaign(world, selected, config,
-                                   protocols=request.protocols,
-                                   n_trials=request.n_trials,
-                                   executor=state.executor,
-                                   workers=state.workers,
-                                   origin_universe=universe)
+            plane_stats = None
+            dataset = run_campaign(
+                world, selected, config, protocols=request.protocols,
+                n_trials=request.n_trials, executor=state.executor,
+                workers=state.workers, origin_universe=universe)
             report = full_report(dataset, engine=request.engine)
     meta = {
         "request": request.to_json(),

@@ -176,6 +176,29 @@ class ExecutionReport:
             return 1.0
         return self.busy_s / self.wall_s
 
+    @classmethod
+    def combine(cls, reports: Sequence["ExecutionReport"]
+                ) -> Optional["ExecutionReport"]:
+        """Fold the reports of consecutive grid runs (one per shard)
+        into one; ``None`` when nothing ran."""
+        if len(reports) <= 1:
+            return reports[0] if reports else None
+        stage_totals: Dict[str, float] = {}
+        for report in reports:
+            for stage, seconds in report.stage_s:
+                stage_totals[stage] = stage_totals.get(stage, 0.0) + seconds
+        first = reports[0]
+        return cls(
+            backend=first.backend,
+            workers=first.workers,
+            n_jobs=sum(r.n_jobs for r in reports),
+            wall_s=sum(r.wall_s for r in reports),
+            job_wall_s=tuple(w for r in reports for w in r.job_wall_s),
+            workers_used=max(r.workers_used for r in reports),
+            stage_s=tuple(sorted(stage_totals.items())),
+            transport=first.transport,
+            peak_rss_bytes=max(r.peak_rss_bytes for r in reports))
+
     def to_metadata(self) -> Dict[str, object]:
         out = {
             "backend": self.backend,

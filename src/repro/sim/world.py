@@ -132,7 +132,8 @@ class World:
         self._flaky = L7FlakyModel(root)
         self._loss_models: Dict[str, PathLossModel] = {}
         self._loss_params: Dict[str, Tuple[np.ndarray, ...]] = {}
-        self._outage_model: Optional[BurstOutageModel] = None
+        self._outage_models: Dict[Tuple[Tuple[str, ...], float],
+                                  BurstOutageModel] = {}
         self._outage_specs: Optional[Dict[int, BurstOutageSpec]] = None
         self._flaky_params: Optional[Tuple[np.ndarray, ...]] = None
         self._maxstartups_params: Optional[Tuple[np.ndarray, ...]] = None
@@ -185,10 +186,14 @@ class World:
 
     def _outages(self, origins: Tuple[str, ...],
                  scan_duration_s: float) -> BurstOutageModel:
-        if self._outage_model is None:
-            self._outage_model = BurstOutageModel(
+        """The outage model of one origin universe (memoised per universe:
+        shared events are drawn against the whole name list)."""
+        key = (tuple(origins), scan_duration_s)
+        model = self._outage_models.get(key)
+        if model is None:
+            model = self._outage_models[key] = BurstOutageModel(
                 self._rng, origins, scan_duration_s)
-        return self._outage_model
+        return model
 
     def outage_specs(self) -> Dict[int, BurstOutageSpec]:
         if self._outage_specs is None:

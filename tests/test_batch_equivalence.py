@@ -27,7 +27,8 @@ from repro.rng import (CounterRNG, keyed_bits_lattice, keyed_uniform_array,
                        keyed_uniform_lattice, stream_keys)
 from repro.scanner.zmap import ZMapScanner
 from repro.sim.batch import PlaneSlice, observe_trial_batch
-from repro.sim.campaign import build_trial_batches, run_campaign
+from repro.sim.campaign import (build_trial_batches, run_campaign,
+                                run_plane_campaign)
 from repro.sim.scenario import paper_scenario, paper_sharded_scenario
 from repro.sim.shard import run_sharded_campaign
 
@@ -286,9 +287,20 @@ class TestShardedBatchEquivalence:
 
     def test_collected_dataset_matches_monolithic(self, sharded_scenario):
         sharded, origins, config = sharded_scenario
-        _, collected = run_sharded_campaign(sharded, origins, config,
-                                            n_trials=2, collect=True)
+        collected = run_campaign(sharded, origins, config, n_trials=2)
         world, morigins, mconfig = paper_scenario(seed=5, scale=SCALE)
         mono = run_campaign(world, morigins, mconfig, n_trials=2,
                             planned=False)
         assert dataset_signature(collected) == dataset_signature(mono)
+
+    def test_mono_and_sharded_planes_identical(self, sharded_scenario):
+        """A monolithic world is a one-shard world: the plane campaign
+        streams the same planes from it as from its sharded build."""
+        sharded, origins, config = sharded_scenario
+        streamed = run_plane_campaign(sharded, origins, config,
+                                      n_trials=2, plane_cache=False)
+        world, morigins, mconfig = paper_scenario(seed=5, scale=SCALE)
+        mono = run_plane_campaign(world, morigins, mconfig, n_trials=2,
+                                  plane_cache=False)
+        assert "sharded" not in mono.metadata
+        assert streaming_signature(mono) == streaming_signature(streamed)

@@ -68,7 +68,7 @@ def test_sharded_request_yields_one_correlated_trace(tmp_path):
     # the single-flight span, the sharded campaign, each shard's
     # streaming span, the executor grid, and every executor job.
     assert {"serve.request", "serve.flight", "serve.compute",
-            "shard.run_campaign", "shard.stream",
+            "campaign.run", "shard.stream",
             "executor.run_grid", "executor.job"} <= names
     streams = sorted(s["attrs"]["shard"] for s in spans
                      if s["name"] == "shard.stream")

@@ -2,7 +2,7 @@
 
 The tentpole guarantee is byte-identity: shard K of a world is buildable
 in isolation, the concatenation of all shards equals the monolithic
-build, a sharded campaign's collected dataset equals ``run_campaign`` on
+build, ``run_campaign`` on a sharded world equals ``run_campaign`` on
 the monolithic world across every executor backend, and every streamed
 paper-grid analysis (coverage, multi-origin, bootstrap, per-AS rates)
 equals its dataset-level counterpart to the last float.  These tests pin
@@ -20,7 +20,8 @@ from repro.core import bootstrap, coverage, multi_origin
 from repro.core.streaming import BitPlaneWriter, StreamingTrial
 from repro.io import worldcache
 from repro.scanner.zmap import ZMapConfig
-from repro.sim.campaign import campaign_fingerprint, run_campaign
+from repro.sim.campaign import (campaign_fingerprint, run_campaign,
+                                run_plane_campaign)
 from repro.sim.executor import BACKENDS
 from repro.sim.shard import (DEFAULT_MEMORY_BUDGET, ENV_MEMORY_BUDGET,
                              MemoryBudgetError, ShardManifest,
@@ -71,9 +72,14 @@ def mono_ds(mono_world, zmap):
 
 @pytest.fixture(scope="module")
 def streamed(sharded, zmap):
-    """(StreamingCampaignResult, CampaignDataset) from the serial path."""
-    return run_sharded_campaign(sharded, paper_origins(), zmap,
-                                n_trials=N_TRIALS, collect=True)
+    """(StreamingCampaignResult, CampaignDataset): both entry points on
+    the sharded world, serial, planes computed (no plane cache)."""
+    result = run_plane_campaign(sharded, paper_origins(), zmap,
+                                n_trials=N_TRIALS, executor="serial",
+                                plane_cache=False)
+    dataset = run_campaign(sharded, paper_origins(), zmap,
+                           n_trials=N_TRIALS, executor="serial")
+    return result, dataset
 
 
 # ----------------------------------------------------------------------
@@ -272,9 +278,8 @@ class TestStreamingCampaign:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_collected_dataset_equals_monolithic(self, sharded, mono_ds,
                                                  zmap, backend):
-        _, ds = run_sharded_campaign(sharded, paper_origins(), zmap,
-                                     n_trials=N_TRIALS, executor=backend,
-                                     collect=True)
+        ds = run_campaign(sharded, paper_origins(), zmap,
+                          n_trials=N_TRIALS, executor=backend)
         mono_keys = {(t.protocol, t.trial) for t in mono_ds}
         shard_keys = {(t.protocol, t.trial) for t in ds}
         assert mono_keys == shard_keys
@@ -297,7 +302,9 @@ class TestStreamingCampaign:
             assert metadata["n_trials"] == N_TRIALS
             execution = metadata["execution"]
             assert execution["backend"] == "serial"
-            assert execution["n_shards"] == N_SHARDS
+            # One folded report: the same shape a monolithic run records.
+            assert execution.keys() >= {"backend", "workers", "n_jobs",
+                                        "wall_s", "busy_s", "stages"}
             assert execution["n_jobs"] > 0
         assert result.metadata["execution"].get("peak_rss_bytes", 0) > 0
 
@@ -308,7 +315,8 @@ class TestStreamingCampaign:
                                  protocols=("http",), n_trials=1)
         assert tel.counters.total("shard.shards_processed") == N_SHARDS
         names = [r["name"] for r in tel.records if r.get("t") == "span"]
-        assert "shard.run_campaign" in names
+        assert names.count("campaign.run") == 1
+        assert names.count("shard.stream") == N_SHARDS
 
 
 # ----------------------------------------------------------------------
@@ -446,23 +454,23 @@ class TestBitPlaneWriter:
 
 
 class TestStreamingTrial:
-    def _table(self, origins, ips, statuses):
-        from tests.conftest import make_trial
-        return make_trial("http", 0, origins, ips,
-                          {o: statuses for o in origins})
+    @staticmethod
+    def _planes(trial, origins, n_rows):
+        trial.add_shard_planes(origins, np.zeros(n_rows, dtype=np.int64),
+                               np.ones((len(origins), n_rows), dtype=bool))
 
     def test_origin_mismatch_rejected(self):
         trial = StreamingTrial(protocol="http", trial=0, n_ases=4)
-        trial.add_shard(self._table(["A", "B"], [1, 2], ["ok", "fin"]))
+        self._planes(trial, ["A", "B"], 2)
         with pytest.raises(ValueError, match="share a grid"):
-            trial.add_shard(self._table(["A", "C"], [3], ["ok"]))
+            self._planes(trial, ["A", "C"], 1)
 
     def test_add_after_finish_rejected(self):
         trial = StreamingTrial(protocol="http", trial=0, n_ases=4)
-        trial.add_shard(self._table(["A"], [1, 2], ["ok", "drop"]))
+        self._planes(trial, ["A"], 2)
         trial.finish()
         with pytest.raises(RuntimeError, match="finished"):
-            trial.add_shard(self._table(["A"], [3], ["ok"]))
+            self._planes(trial, ["A"], 1)
 
     def test_finish_without_shards_rejected(self):
         trial = StreamingTrial(protocol="http", trial=0, n_ases=4)

@@ -194,3 +194,58 @@ class TestCampaign:
         row0 = t0.time[0][np.searchsorted(t0.ip, shared)]
         row1 = t1.time[0][np.searchsorted(t1.ip, shared)]
         assert not np.allclose(row0, row1)
+
+
+class TestOutageUniverseMemo:
+    """Shared burst outages are drawn against the origin universe, so an
+    observation depends on the universe it is made under — never on
+    which universe the same world object observed before."""
+
+    SEED, SCALE = 4, 0.05
+
+    @pytest.fixture()
+    def scenario(self):
+        from repro.sim.scenario import paper_scenario
+        return paper_scenario(seed=self.SEED, scale=self.SCALE)
+
+    def _fresh_world(self):
+        from repro.sim.scenario import paper_scenario
+        return paper_scenario(seed=self.SEED, scale=self.SCALE)[0]
+
+    @staticmethod
+    def _observe_all(world, origins, config, universe):
+        return [world.observe(
+                    "http", trial, origin,
+                    ZMapScanner(dataclasses.replace(
+                        config, seed=config.seed + trial)),
+                    universe)
+                for trial in range(3) for origin in origins]
+
+    def test_observe_after_subset_universe_equals_fresh_world(
+            self, scenario):
+        world, origins, config = scenario
+        full = tuple(o.name for o in origins)
+        self._observe_all(world, origins[:3], config,
+                          tuple(o.name for o in origins[:3]))
+        after = self._observe_all(world, origins, config, full)
+        fresh = self._observe_all(self._fresh_world(), origins, config,
+                                  full)
+        for got, want in zip(after, fresh):
+            np.testing.assert_array_equal(got.probe_mask, want.probe_mask)
+            np.testing.assert_array_equal(got.l7, want.l7)
+
+    def test_campaign_after_subset_campaign_equals_fresh_world(
+            self, scenario):
+        world, origins, config = scenario
+        run_campaign(world, origins[:3], config, protocols=("http",),
+                     executor="serial")
+        after = run_campaign(world, origins, config, protocols=("http",),
+                             executor="serial")
+        fresh = run_campaign(self._fresh_world(), origins, config,
+                             protocols=("http",), executor="serial")
+        for table in fresh:
+            got = after.trial_data(table.protocol, table.trial)
+            assert got.origins == table.origins
+            for column in ("ip", "probe_mask", "l7", "time"):
+                np.testing.assert_array_equal(getattr(got, column),
+                                              getattr(table, column))
