@@ -1,7 +1,8 @@
 # Convenience targets.  In offline environments without the `wheel`
 # package, `make install` falls back to the legacy setuptools path.
 
-.PHONY: install test test-parallel test-serve test-shard test-batch bench \
+.PHONY: install test test-parallel test-serve test-shard test-batch \
+	test-analysis bench \
 	bench-show bench-analysis bench-io bench-serve bench-scale \
 	bench-incremental bench-diff serve profile trace examples report all
 
@@ -39,15 +40,25 @@ test-batch:
 	pytest tests/test_batch_equivalence.py tests/test_plan_equivalence.py \
 		tests/test_plan_properties.py
 
+# The packed analyses against their boolean oracle (repro.core.oracle):
+# coverage, multi-origin and bootstrap equivalence plus the full report
+# and CLI, the streamed grid against the oracle on the materialized
+# dataset, and full_report == full_report(engine="reference") on seeds
+# 0-15.
+test-analysis:
+	pytest tests/test_engine_equivalence.py tests/test_shard_world.py \
+		tests/test_report_seeds.py
+
 bench:
 	pytest benchmarks/ --benchmark-only
 
 bench-show:
 	pytest benchmarks/ --benchmark-only -s
 
-# Bracket the bit-packed analysis engine against the reference path
-# (multi-origin enumeration, bootstrap, full report) and run the
-# packed-speedup guard; extends the BENCH_<n>.json trajectory.
+# Bracket the packed analyses against their boolean oracle
+# (repro.core.oracle: multi-origin enumeration, bootstrap) plus the full
+# report, and run the packed-speedup guard; extends the BENCH_<n>.json
+# trajectory.
 bench-analysis:
 	pytest benchmarks/test_perf_analysis.py --benchmark-only -s
 	pytest benchmarks/test_perf_analysis.py::test_perf_packed_speedup_guard -s

@@ -1,15 +1,15 @@
 """Analysis-engine performance benchmarks (not a paper artifact).
 
-Brackets the bit-packed analysis engine (:mod:`repro.core.engine`)
-against the reference set-algebra path at paper scale, the same way
-``test_perf_engine.py`` brackets the compiled observation plans:
+Brackets the bit-packed analyses (:mod:`repro.core.engine`) against
+their boolean oracle (:mod:`repro.core.oracle`) at paper scale, the same
+way ``test_perf_engine.py`` brackets the compiled observation plans:
 
 * ``multi_origin_table`` — every k-subset union coverage over ≈58 k
   HTTP ground-truth hosts, packed (OR + popcount over bit-planes) vs
-  reference (per-subset boolean unions);
+  the oracle (per-subset boolean unions);
 * ``coverage_interval`` — a 500-replicate host bootstrap, packed
-  (blocked keyed draw matrix + row sums) vs reference (per-replicate
-  loop);
+  (pre-derived keys, preallocated draw buffers) vs the oracle
+  (per-replicate loop);
 * ``full_report`` — the end-to-end §3–§7 report over one shared
   :class:`~repro.core.engine.AnalysisContext` per protocol.
 
@@ -17,7 +17,7 @@ The guard asserts the packed engine pays for itself by the acceptance
 floor.  The multi-origin win is algorithmic (bit-parallel set algebra:
 ~60× less memory traffic per union), so its ≥2× floor is asserted on
 any hardware, like the compiled-plan guard.  The bootstrap win is
-overhead elimination — both engines perform identical splitmix64
+overhead elimination — both paths perform identical splitmix64
 arithmetic, so its ceiling tracks the machine's ALU/cache balance
 (~1.7× on this 1-CPU container): "not slower" is asserted everywhere
 and the ≥2× floor only when more than one CPU is visible, matching the
@@ -28,6 +28,7 @@ import os
 import statistics
 import time
 
+from repro.core import oracle
 from repro.core.bootstrap import coverage_interval
 from repro.core.engine import clear_context_cache, get_context
 from repro.core.multi_origin import multi_origin_table
@@ -35,7 +36,7 @@ from repro.core.report import full_report
 
 from benchmarks.conftest import bench_once
 
-#: Minimum packed-over-reference speedup at paper scale (acceptance
+#: Minimum packed-over-oracle speedup at paper scale (acceptance
 #: criterion: ≥2× median).
 ANALYSIS_SPEEDUP_FLOOR = 2.0
 
@@ -61,15 +62,14 @@ def test_perf_multi_origin_packed(benchmark, paper_ds):
     """Figure 15's full k-subset table, packed engine, warm context."""
     context = get_context(paper_ds, "http")
     table = bench_once(benchmark, lambda: multi_origin_table(
-        paper_ds, "http", single_probe=True, engine="packed",
-        context=context))
+        paper_ds, "http", single_probe=True, context=context))
     assert set(table) == set(range(1, len(paper_ds.origins_for("http")) + 1))
 
 
 def test_perf_multi_origin_reference(benchmark, paper_ds):
-    """The same table on the reference boolean-union path."""
-    table = bench_once(benchmark, lambda: multi_origin_table(
-        paper_ds, "http", single_probe=True, engine="reference"))
+    """The same table on the oracle's boolean-union path."""
+    table = bench_once(benchmark, lambda: oracle.multi_origin_table(
+        paper_ds, "http", single_probe=True))
     assert set(table) == set(range(1, len(paper_ds.origins_for("http")) + 1))
 
 
@@ -78,28 +78,27 @@ def test_perf_bootstrap_packed(benchmark, paper_ds):
     table = paper_ds.trial_data("http", 0)
     origin = table.origins[0]
     interval = bench_once(benchmark, lambda: coverage_interval(
-        table, origin, engine="packed"))
+        table, origin))
     assert 0.0 <= interval.low <= interval.point <= interval.high <= 1.0
 
 
 def test_perf_bootstrap_reference(benchmark, paper_ds):
-    """The same CI on the per-replicate reference loop."""
+    """The same CI on the oracle's per-replicate loop."""
     table = paper_ds.trial_data("http", 0)
     origin = table.origins[0]
-    interval = bench_once(benchmark, lambda: coverage_interval(
-        table, origin, engine="reference"))
+    interval = bench_once(benchmark, lambda: oracle.coverage_interval(
+        table, origin))
     assert 0.0 <= interval.low <= interval.point <= interval.high <= 1.0
 
 
 def test_perf_full_report(benchmark, paper_ds):
     """End-to-end §3–§7 report over shared per-protocol contexts."""
-    text = bench_once(benchmark,
-                      lambda: full_report(paper_ds, engine="packed"))
+    text = bench_once(benchmark, lambda: full_report(paper_ds))
     assert "[multi-origin coverage]" in text
 
 
 def test_perf_packed_speedup_guard(paper_ds):
-    """Packed must beat reference by the acceptance floor (≥2× median).
+    """Packed must beat the oracle by the acceptance floor (≥2× median).
 
     Medians over repeated warm rounds so one scheduler hiccup cannot
     fail the guard.  Multi-origin enumeration and the bootstrap are
@@ -110,15 +109,13 @@ def test_perf_packed_speedup_guard(paper_ds):
     table = paper_ds.trial_data("http", 0)
     origin = table.origins[0]
 
-    multi_ref_ms = _median_ms(lambda: multi_origin_table(
-        paper_ds, "http", single_probe=True, engine="reference"))
+    multi_ref_ms = _median_ms(lambda: oracle.multi_origin_table(
+        paper_ds, "http", single_probe=True))
     multi_packed_ms = _median_ms(lambda: multi_origin_table(
-        paper_ds, "http", single_probe=True, engine="packed",
-        context=context))
-    boot_ref_ms = _median_ms(lambda: coverage_interval(
-        table, origin, engine="reference"))
-    boot_packed_ms = _median_ms(lambda: coverage_interval(
-        table, origin, engine="packed"))
+        paper_ds, "http", single_probe=True, context=context))
+    boot_ref_ms = _median_ms(lambda: oracle.coverage_interval(
+        table, origin))
+    boot_packed_ms = _median_ms(lambda: coverage_interval(table, origin))
 
     multi_speedup = multi_ref_ms / multi_packed_ms
     boot_speedup = boot_ref_ms / boot_packed_ms

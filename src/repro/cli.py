@@ -31,7 +31,6 @@ import sys
 from typing import List, Optional
 
 from repro.core.coverage import coverage_table
-from repro.core.engine import ENGINES
 from repro.core.planning import diminishing_returns_k, recommend_origins
 from repro.core.report import full_report
 from repro.io import load_any_campaign
@@ -109,9 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "report", help="print the full analysis report for a dataset")
     report.add_argument("dataset",
                         help="directory or snapshot written by 'simulate'")
-    report.add_argument("--engine", choices=list(ENGINES), default=None,
-                        help="analysis engine (default: "
-                             "$REPRO_ANALYSIS_ENGINE or 'packed')")
 
     coverage = commands.add_parser(
         "coverage", help="print per-origin coverage tables")
@@ -316,7 +312,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     dataset = load_any_campaign(args.dataset)
-    print(full_report(dataset, engine=args.engine))
+    print(full_report(dataset))
     return 0
 
 
@@ -433,12 +429,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         for entry in result_entries:
             meta = entry.meta or {}
             fingerprint = meta.get("key", entry.key)
-            rows.append([fingerprint[:16],
-                         str(meta.get("engine", "?")),
-                         f"{entry.nbytes:,}",
+            rows.append([fingerprint[:16], f"{entry.nbytes:,}",
                          "ok" if entry.valid else "CORRUPT"])
-        print(render_table(["fingerprint", "engine", "bytes", "state"],
-                           rows,
+        print(render_table(["fingerprint", "bytes", "state"], rows,
                            title=f"result cache — {result_root}"))
     plane_entries = planecache.list_entries()
     if plane_entries:

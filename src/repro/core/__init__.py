@@ -11,13 +11,11 @@ from repro.core.records import L7Status, ACCESSIBLE_STATUSES
 from repro.core.bits import count_true, pack_bits, popcount_packed, popcount_u8
 from repro.core.dataset import CampaignDataset, TrialData, align_ips
 from repro.core.engine import (
-    ENGINES,
     AnalysisContext,
     PackedTrial,
     clear_context_cache,
     dataset_fingerprint,
     get_context,
-    resolve_engine,
 )
 from repro.core.ground_truth import (
     PresenceMatrix,
@@ -136,8 +134,8 @@ __all__ = [
     "L7Status", "ACCESSIBLE_STATUSES",
     "count_true", "pack_bits", "popcount_packed", "popcount_u8",
     "CampaignDataset", "TrialData", "align_ips",
-    "ENGINES", "AnalysisContext", "PackedTrial", "clear_context_cache",
-    "dataset_fingerprint", "get_context", "resolve_engine",
+    "AnalysisContext", "PackedTrial", "clear_context_cache",
+    "dataset_fingerprint", "get_context",
     "PresenceMatrix", "build_presence", "ground_truth_ips",
     "union_ground_truth",
     "CoverageTable", "coverage_by_origin", "coverage_table",

@@ -8,15 +8,16 @@ coverage and for coverage *differences* between origins — the quantity
 that decides "is origin A actually better than origin B here?".
 
 Resampling is driven by the deterministic counter RNG, so intervals are
-reproducible for a given seed.  The ``packed`` engine pre-derives one
+reproducible for a given seed.  :func:`_replicate_stats` pre-derives one
 stream key per replicate and evaluates each replicate's draw vector
 through preallocated buffers (:func:`repro.rng.keyed_bits_into`): no
-per-replicate allocations, no redundant copies, and a working set that
-stays cache-resident — the win over the reference per-replicate loop
-is pure overhead elimination, since both perform the same splitmix64
-arithmetic.  Both produce bit-identical intervals: every replicate
-statistic reduces the same values in the same order, and the boolean
-case is an exact small-integer count in float64.
+per-replicate allocations and a working set that stays cache-resident.
+It is bit-identical to the per-replicate loop kept as the oracle
+(:func:`repro.core.oracle.replicate_stats`): every replicate statistic
+reduces the same values in the same order, and the boolean case is an
+exact small-integer count in float64.  Per-origin coverage intervals
+are computed once, over packed trials (:func:`packed_coverage_interval`),
+for datasets and streamed campaigns alike.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.core.dataset import TrialData
-from repro.core.engine import resolve_engine
+from repro.core.engine import PackedTrial
 from repro.rng import CounterRNG, keyed_bits_into
 
 
@@ -47,32 +48,19 @@ class Interval:
         return self.high - self.low
 
 
-def _resample_indices(rng: CounterRNG, n: int, replicate: int
-                      ) -> np.ndarray:
-    """Indices for one bootstrap replicate (sample n with replacement)."""
-    draws = rng.bits_array(np.arange(n, dtype=np.uint64), replicate)
-    return (draws % np.uint64(n)).astype(np.int64)
-
-
 def _replicate_stats(rng: CounterRNG, values: np.ndarray, n: int,
-                     replicates: int, engine: str) -> np.ndarray:
+                     replicates: int) -> np.ndarray:
     """Per-replicate resampled means of ``values`` (length n).
 
-    The packed engine derives one stream key per replicate — the same
-    fold of the replicate counter the reference path performs — then
+    Derives one stream key per replicate — the fold of the replicate
+    counter :meth:`~repro.rng.CounterRNG.bits_array` performs — then
     draws each replicate's index vector through two preallocated uint64
     buffers (:func:`repro.rng.keyed_bits_into`), reduces in place, and
-    never allocates inside the loop.  Bit-identical to the reference:
-    same draws, same reduction order (boolean values reduce to an exact
+    never allocates inside the loop.  Boolean values reduce to an exact
     integer count; float values reduce with the same pairwise sum
-    ``mean()`` uses), same final division by ``n``.
+    ``mean()`` uses; both end with the same division by ``n``.
     """
     stats = np.empty(replicates)
-    if engine == "reference":
-        for r in range(replicates):
-            idx = _resample_indices(rng, n, r)
-            stats[r] = values[idx].mean()
-        return stats
     keys = np.array([rng.derive(r).key for r in range(replicates)],
                     dtype=np.uint64)
     counters = np.arange(n, dtype=np.uint64)
@@ -103,13 +91,12 @@ def _percentile_interval(point: float, stats: np.ndarray,
                     confidence=confidence)
 
 
-def coverage_interval(trial_data: TrialData, origin: str,
-                      replicates: int = 500,
-                      confidence: float = 0.95,
-                      seed: int = 0,
-                      single_probe: bool = False,
-                      engine: Optional[str] = None) -> Interval:
-    """Bootstrap CI for one origin's coverage of one trial's ground truth.
+def packed_coverage_interval(packed: PackedTrial, origin: str,
+                             replicates: int = 500,
+                             confidence: float = 0.95,
+                             seed: int = 0) -> Interval:
+    """Bootstrap CI for one origin's coverage of a packed trial's
+    ground truth.
 
     Hosts (the ground-truth universe) are resampled with replacement;
     each replicate recomputes coverage over the resampled universe.
@@ -118,26 +105,37 @@ def coverage_interval(trial_data: TrialData, origin: str,
         raise ValueError("need at least 10 replicates")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    engine = resolve_engine(engine)
-    truth = trial_data.ground_truth(single_probe=single_probe)
-    seen = trial_data.accessible(origin, single_probe=single_probe)[truth]
-    n = int(truth.sum())
+    row = packed.packed[packed.rows_for([origin])[0]]
+    n = packed.total
     if n == 0:
         return Interval(float("nan"), float("nan"), float("nan"),
                         confidence)
+    truth = np.unpackbits(packed.truth, count=packed.n_hosts).view(bool)
+    seen = np.unpackbits(row, count=packed.n_hosts).view(bool)[truth]
     point = float(seen.mean())
 
-    rng = CounterRNG(seed, "bootstrap-coverage", origin,
-                     trial_data.protocol, trial_data.trial)
-    stats = _replicate_stats(rng, seen, n, replicates, engine)
+    rng = CounterRNG(seed, "bootstrap-coverage", origin, packed.protocol,
+                     packed.trial)
+    stats = _replicate_stats(rng, seen, n, replicates)
     return _percentile_interval(point, stats, confidence)
+
+
+def coverage_interval(trial_data: TrialData, origin: str,
+                      replicates: int = 500,
+                      confidence: float = 0.95,
+                      seed: int = 0,
+                      single_probe: bool = False) -> Interval:
+    """Bootstrap CI for one origin's coverage of one trial's ground truth
+    (:func:`packed_coverage_interval` over the packed trial)."""
+    return packed_coverage_interval(
+        PackedTrial.from_trial(trial_data, single_probe=single_probe), origin,
+        replicates=replicates, confidence=confidence, seed=seed)
 
 
 def coverage_difference_interval(trial_data: TrialData, origin_a: str,
                                  origin_b: str, replicates: int = 500,
                                  confidence: float = 0.95,
-                                 seed: int = 0,
-                                 engine: Optional[str] = None) -> Interval:
+                                 seed: int = 0) -> Interval:
     """Bootstrap CI for coverage(A) − coverage(B) on paired hosts.
 
     Pairing by host preserves the correlation between the origins'
@@ -145,7 +143,6 @@ def coverage_difference_interval(trial_data: TrialData, origin_a: str,
     independent CIs — the right tool for "did origin A really beat B?".
     An interval excluding 0 is a significant difference.
     """
-    engine = resolve_engine(engine)
     truth = trial_data.ground_truth()
     a = trial_data.accessible(origin_a)[truth].astype(np.float64)
     b = trial_data.accessible(origin_b)[truth].astype(np.float64)
@@ -158,20 +155,18 @@ def coverage_difference_interval(trial_data: TrialData, origin_a: str,
 
     rng = CounterRNG(seed, "bootstrap-diff", origin_a, origin_b,
                      trial_data.protocol, trial_data.trial)
-    stats = _replicate_stats(rng, delta, n, replicates, engine)
+    stats = _replicate_stats(rng, delta, n, replicates)
     return _percentile_interval(point, stats, confidence)
 
 
 def coverage_intervals(trial_data: TrialData,
                        origins: Optional[Sequence[str]] = None,
                        replicates: int = 500, confidence: float = 0.95,
-                       seed: int = 0,
-                       engine: Optional[str] = None) -> Dict[str, Interval]:
+                       seed: int = 0) -> Dict[str, Interval]:
     """Per-origin coverage CIs for one trial."""
-    chosen = [o for o in (origins or trial_data.origins)
-              if trial_data.has_origin(o)]
-    return {origin: coverage_interval(trial_data, origin,
-                                      replicates=replicates,
-                                      confidence=confidence, seed=seed,
-                                      engine=engine)
-            for origin in chosen}
+    packed = PackedTrial.from_trial(trial_data)
+    return {origin: packed_coverage_interval(packed, origin,
+                                             replicates=replicates,
+                                             confidence=confidence,
+                                             seed=seed)
+            for origin in packed.present(origins or packed.origins)}

@@ -3,7 +3,9 @@
 Coverage of an origin in a trial is the fraction of that trial's ground
 truth the origin completed an L7 handshake with.  The module also computes
 the all-origin intersection and union (Table 4's ∩ / ∪ columns) and the
-cross-trial means.
+cross-trial means.  The table is computed once, over packed trials
+(:func:`packed_coverage_table`), for datasets and streamed campaigns
+alike; the boolean original is :func:`repro.core.oracle.coverage_table`.
 """
 
 from __future__ import annotations
@@ -13,23 +15,18 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.dataset import CampaignDataset, TrialData
+from repro.core.bits import popcount_packed
+from repro.core.dataset import CampaignDataset, TrialData, common_origins
+from repro.core.engine import PackedTrial, packed_trials
 
 
 def coverage_by_origin(trial_data: TrialData,
                        origins: Optional[Sequence[str]] = None,
                        single_probe: bool = False) -> Dict[str, float]:
     """Origin → fraction of this trial's ground truth it saw."""
-    chosen = list(origins) if origins is not None else trial_data.origins
-    truth = trial_data.ground_truth(single_probe=single_probe)
-    total = int(truth.sum())
-    out: Dict[str, float] = {}
-    for origin in chosen:
-        if not trial_data.has_origin(origin):
-            continue
-        seen = trial_data.accessible(origin, single_probe=single_probe)
-        out[origin] = float((seen & truth).sum() / total) if total else 0.0
-    return out
+    packed = PackedTrial.from_trial(trial_data, single_probe=single_probe)
+    return packed_coverage_table(trial_data.protocol, [packed],
+                                 origins).coverage[packed.trial]
 
 
 @dataclass
@@ -72,33 +69,44 @@ class CoverageTable:
         return out
 
 
+def packed_coverage_table(protocol: str, trials: Sequence[PackedTrial],
+                          origins: Optional[Sequence[str]] = None
+                          ) -> CoverageTable:
+    """The Table 4 analog over packed trials (one per trial, in order).
+
+    ``origins`` defaults to those in every trial; one absent from a
+    trial is skipped there.  The intersection folds from the truth
+    plane, so an empty origin list yields 1.0.
+    """
+    if origins is None:
+        origins = common_origins(trials)
+    coverage: Dict[int, Dict[str, float]] = {}
+    intersection: Dict[int, float] = {}
+    union_size: Dict[int, int] = {}
+    for packed in trials:
+        total = packed.total
+        present = packed.present(origins)
+        rows = packed.packed[packed.rows_for(present)]
+        coverage[packed.trial] = {
+            origin: float(int(count) / total) if total else 0.0
+            for origin, count in zip(present, popcount_packed(rows))}
+        everyone = np.bitwise_and.reduce(rows, axis=0,
+                                         initial=0xFF) & packed.truth
+        intersection[packed.trial] = float(
+            int(popcount_packed(everyone)) / total) if total else 0.0
+        union_size[packed.trial] = total
+    return CoverageTable(protocol=protocol, origins=list(origins),
+                         trials=[packed.trial for packed in trials],
+                         coverage=coverage, intersection=intersection,
+                         union_size=union_size)
+
+
 def coverage_table(dataset: CampaignDataset, protocol: str,
                    origins: Optional[Sequence[str]] = None,
                    single_probe: bool = False) -> CoverageTable:
     """Compute the Table 4 analog for one protocol."""
-    trials = dataset.trials_for(protocol)
-    chosen = list(origins) if origins is not None \
-        else dataset.origins_for(protocol)
-    coverage: Dict[int, Dict[str, float]] = {}
-    intersection: Dict[int, float] = {}
-    union_size: Dict[int, int] = {}
-    for trial in trials:
-        table = dataset.trial_data(protocol, trial)
-        coverage[trial] = coverage_by_origin(
-            table, origins=chosen, single_probe=single_probe)
-        truth = table.ground_truth(single_probe=single_probe)
-        total = int(truth.sum())
-        union_size[trial] = total
-        seen_by_all = truth.copy()
-        for origin in chosen:
-            if table.has_origin(origin):
-                seen_by_all &= table.accessible(
-                    origin, single_probe=single_probe)
-        intersection[trial] = float(seen_by_all.sum() / total) \
-            if total else 0.0
-    return CoverageTable(protocol=protocol, origins=chosen,
-                         trials=list(trials), coverage=coverage,
-                         intersection=intersection, union_size=union_size)
+    return packed_coverage_table(
+        protocol, packed_trials(dataset, protocol, single_probe), origins)
 
 
 def median_single_origin_coverage(dataset: CampaignDataset, protocol: str,
@@ -107,11 +115,6 @@ def median_single_origin_coverage(dataset: CampaignDataset, protocol: str,
 
     §7 reports 96.3 % (1 probe) and 97.6 % (2 probes) for the median origin.
     """
-    values: List[float] = []
-    for trial in dataset.trials_for(protocol):
-        table = dataset.trial_data(protocol, trial)
-        cov = coverage_by_origin(
-            table, origins=dataset.origins_for(protocol),
-            single_probe=single_probe)
-        values.extend(cov.values())
+    table = coverage_table(dataset, protocol, single_probe=single_probe)
+    values = [v for cov in table.coverage.values() for v in cov.values()]
     return float(np.median(values)) if values else float("nan")

@@ -86,10 +86,17 @@ class TrialData:
         (§5): a 1-probe scanner would only have reached hosts whose first
         SYN got through.
         """
-        row = self.origin_row(origin)
-        ok = self.l7[row] == int(L7Status.SUCCESS)
+        return self._success(self.origin_row(origin), single_probe)
+
+    def accessible_matrix(self, single_probe: bool = False) -> np.ndarray:
+        """:meth:`accessible` for every origin: an (n_origins, n) matrix
+        row-aligned with ``origins``."""
+        return self._success(slice(None), single_probe)
+
+    def _success(self, rows, single_probe: bool) -> np.ndarray:
+        ok = self.l7[rows] == int(L7Status.SUCCESS)
         if single_probe:
-            ok = ok & ((self.probe_mask[row] & 1) == 1)
+            ok = ok & ((self.probe_mask[rows] & 1) == 1)
         return ok
 
     def l4_responsive(self, origin: str) -> np.ndarray:
@@ -162,16 +169,8 @@ class CampaignDataset:
         The paper excludes Carinet (which only scanned trial 1) from
         aggregate statistics; this is the same rule.
         """
-        trials = self.trials_for(protocol)
-        if not trials:
-            return []
-        common = None
-        for trial in trials:
-            present = set(self.trial_data(protocol, trial).origins)
-            common = present if common is None else common & present
-        # Preserve first-trial ordering.
-        first = self.trial_data(protocol, trials[0]).origins
-        return [o for o in first if o in (common or set())]
+        return common_origins([self.trial_data(protocol, trial)
+                               for trial in self.trials_for(protocol)])
 
     def all_origins(self, protocol: str) -> List[str]:
         """Origins present in *any* trial of ``protocol``."""
@@ -181,6 +180,15 @@ class CampaignDataset:
                 if origin not in seen:
                     seen.append(origin)
         return seen
+
+
+def common_origins(trials: Sequence) -> List[str]:
+    """Origins present in every one of ``trials`` (anything with an
+    ``origins`` list), in first-trial order."""
+    if not trials:
+        return []
+    return [o for o in trials[0].origins
+            if all(o in trial.origins for trial in trials[1:])]
 
 
 def align_ips(reference: np.ndarray, other: np.ndarray) -> np.ndarray:

@@ -1,23 +1,20 @@
-"""The bit-packed analysis engine: shared context, packed bitsets, engines.
+"""The bit-packed analysis engine: shared context and packed bitsets.
 
-The paper's headline analyses — Table 1 exclusivity, the k-origin
-coverage curve, bootstrap error bars — are all set algebra over
-(trial × origin × host) presence cubes.  This module gives that layer
-the same treatment :mod:`repro.sim.plan` gave the simulator:
+The paper's headline analyses — Table 1 exclusivity, Table 4 coverage,
+the k-origin coverage curve, bootstrap error bars — are all set algebra
+over (trial × origin × host) presence cubes.  This module gives that
+layer the same treatment :mod:`repro.sim.plan` gave the simulator:
 
 * An :class:`AnalysisContext` is built once per (dataset, protocol) and
   memoized on the dataset fingerprint (:func:`dataset_fingerprint`,
   which folds in the run manifest emitted by
   :mod:`repro.telemetry.manifest` when the dataset carries one).  It
   holds the aligned :class:`~repro.core.ground_truth.PresenceMatrix`
-  and, per trial, bit-packed (:func:`numpy.packbits`) per-origin
-  accessibility bitsets (:class:`PackedTrial`) sharing the popcount
-  table in :mod:`repro.core.bits`.
-* Every analysis that gained an ``engine=`` parameter runs in one of
-  two modes: ``"packed"`` (the bit-packed/vectorized rewrite) or
-  ``"reference"`` (the original set-algebra code).  The two are
-  byte-identical — ``tests/test_engine_equivalence.py`` proves it —
-  and the env default is ``REPRO_ANALYSIS_ENGINE``.
+  and the per-trial :class:`PackedTrial` bit planes.
+* Coverage, multi-origin and bootstrap analyses are written once, over
+  :class:`PackedTrial` s (:func:`packed_trials`), for datasets and
+  streamed campaigns alike; the boolean originals are the differential
+  oracle in :mod:`repro.core.oracle`.
 
 Telemetry mirrors the plan cache: ``cache.context_hit`` /
 ``cache.context_miss`` counters around :func:`get_context`, a
@@ -32,8 +29,8 @@ one-build-per-report guarantee is asserted.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,29 +40,8 @@ from repro.core.dataset import CampaignDataset, TrialData
 from repro.core.ground_truth import PresenceMatrix, build_presence
 from repro.telemetry.context import current as _telemetry
 
-#: The two analysis engines.  ``packed`` is the default production path;
-#: ``reference`` keeps the original per-set Python implementations alive
-#: as the differential baseline (the planned/unplanned pattern of PR 2).
-ENGINES = ("packed", "reference")
-
-#: Environment variable overriding the default engine.
-ENV_ENGINE = "REPRO_ANALYSIS_ENGINE"
-
 #: Maximum number of memoized contexts (FIFO eviction beyond this).
 CONTEXT_CACHE_SIZE = 8
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Normalize an ``engine=`` argument against the environment default.
-
-    ``None`` defers to ``REPRO_ANALYSIS_ENGINE``, then to ``"packed"``.
-    """
-    if engine is None:
-        engine = os.environ.get(ENV_ENGINE) or "packed"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown analysis engine {engine!r}; choose from {ENGINES}")
-    return engine
 
 
 def dataset_fingerprint(dataset: CampaignDataset) -> str:
@@ -95,57 +71,52 @@ def dataset_fingerprint(dataset: CampaignDataset) -> str:
     return digest.hexdigest()[:16]
 
 
+@dataclass(eq=False)
 class PackedTrial:
-    """Bit-packed per-origin accessibility bitsets for one trial.
+    """Bit-packed ground truth and per-origin accessibility of one trial.
 
-    ``packed[o]`` is origin *o*'s ``accessible & ground_truth`` mask for
-    the trial, packed 8 hosts per byte; ``total`` is the ground-truth
-    popcount.  OR-ing rows and popcounting the result reproduces the
-    union coverage of any origin subset without materializing boolean
-    arrays — the packed multi-origin path.
+    ``truth`` is the trial's ground-truth mask and ``packed[o]`` origin
+    *o*'s accessible mask (a subset of the truth), each packed 8 hosts
+    per byte (:func:`~repro.core.bits.pack_bits`); ``total`` is the
+    ground-truth popcount.  OR-ing rows and popcounting the result
+    reproduces the union coverage of any origin subset without
+    materializing boolean arrays.  A dataset's trials are packed by
+    :meth:`from_trial`; the streaming reducer
+    (:mod:`repro.core.streaming`) assembles the same planes shard by
+    shard.
     """
 
-    __slots__ = ("protocol", "trial", "single_probe", "origins", "packed",
-                 "total", "n_hosts", "_rows")
+    protocol: str
+    trial: int
+    origins: List[str]
+    packed: np.ndarray
+    truth: np.ndarray
+    n_hosts: int
+    single_probe: bool = False
 
-    def __init__(self, trial_data: TrialData,
-                 single_probe: bool = False) -> None:
-        self.protocol = trial_data.protocol
-        self.trial = trial_data.trial
-        self.single_probe = bool(single_probe)
-        self.origins = list(trial_data.origins)
-        truth = trial_data.ground_truth(single_probe=single_probe)
-        masks = np.empty((len(self.origins), len(truth)), dtype=bool)
-        for oi, origin in enumerate(self.origins):
-            masks[oi] = trial_data.accessible(
-                origin, single_probe=single_probe) & truth
-        self.packed = pack_bits(masks)
-        self.total = int(truth.sum())
-        self.n_hosts = len(truth)
+    def __post_init__(self) -> None:
+        self.trial = int(self.trial)
+        self.origins = list(self.origins)
+        self.total = int(popcount_packed(self.truth))
         self._rows = {origin: oi for oi, origin in enumerate(self.origins)}
 
     @classmethod
-    def from_parts(cls, protocol: str, trial: int, origins: Sequence[str],
-                   packed: np.ndarray, total: int, n_hosts: int,
+    def from_trial(cls, trial_data: TrialData,
                    single_probe: bool = False) -> "PackedTrial":
-        """Adopt pre-packed planes without a backing :class:`TrialData`.
+        """Pack one trial table.
 
-        The streaming reducer (:mod:`repro.core.streaming`) accumulates
-        per-shard bit planes and assembles the final packed trial here;
-        the result is indistinguishable from one built on the
-        concatenated dataset because OR/popcount are associative across
-        the shard boundary.
+        Ground truth is the OR of every origin's accessible row, so each
+        row already lies inside it.
         """
-        self = cls.__new__(cls)
-        self.protocol = protocol
-        self.trial = int(trial)
-        self.single_probe = bool(single_probe)
-        self.origins = list(origins)
-        self.packed = packed
-        self.total = int(total)
-        self.n_hosts = int(n_hosts)
-        self._rows = {origin: oi for oi, origin in enumerate(self.origins)}
-        return self
+        masks = trial_data.accessible_matrix(single_probe=single_probe)
+        truth = np.logical_or.reduce(masks, axis=0)
+        return cls(trial_data.protocol, trial_data.trial,
+                   trial_data.origins, pack_bits(masks), pack_bits(truth),
+                   len(truth), single_probe)
+
+    def present(self, origins: Sequence[str]) -> List[str]:
+        """``origins`` that scanned this trial, in the given order."""
+        return [o for o in origins if o in self._rows]
 
     def rows_for(self, origins: Sequence[str]) -> np.ndarray:
         """Packed-row indices of ``origins`` (KeyError when absent)."""
@@ -160,6 +131,21 @@ class PackedTrial:
         """
         unions = np.bitwise_or.reduce(self.packed[subsets], axis=1)
         return np.asarray(popcount_packed(unions), dtype=np.int64)
+
+
+def packed_trials(dataset: CampaignDataset, protocol: str,
+                  single_probe: bool = False,
+                  context: Optional[AnalysisContext] = None
+                  ) -> List[PackedTrial]:
+    """Every trial of ``protocol`` as a :class:`PackedTrial`, in trial
+    order: memoized on ``context`` when one is passed, else packed
+    straight from the trial tables (no fingerprinting)."""
+    if context is not None:
+        return [context.packed_trial(trial, single_probe=single_probe)
+                for trial in dataset.trials_for(protocol)]
+    return [PackedTrial.from_trial(dataset.trial_data(protocol, trial),
+                                   single_probe=single_probe)
+            for trial in dataset.trials_for(protocol)]
 
 
 class AnalysisContext:
@@ -227,7 +213,7 @@ class AnalysisContext:
         cached = self._packed.get(key)
         if cached is not None:
             return cached
-        built = PackedTrial(
+        built = PackedTrial.from_trial(
             self.dataset.trial_data(self.protocol, trial),
             single_probe=single_probe)
         self._packed[key] = built

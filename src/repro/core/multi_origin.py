@@ -5,13 +5,12 @@ truth — the paper's headline remedy: two diverse origins lift median
 single-probe HTTP coverage from 95.5 % to 98.3 %, three to 99.1 % with
 σ = 0.08 %.
 
-Two engines compute the same numbers (``engine=``, env default
-``REPRO_ANALYSIS_ENGINE``): the ``packed`` engine enumerates k-subsets
-by OR-ing bit-packed accessibility rows and popcounting
-(:class:`repro.core.engine.PackedTrial`) — no Python sets, one fused
-gather/OR/popcount per subset size — while ``reference`` keeps the
-original boolean-union loop as the differential baseline.  Both are
-byte-identical (``tests/test_engine_equivalence.py``).
+Subsets are enumerated by OR-ing bit-packed accessibility rows and
+popcounting (:class:`repro.core.engine.PackedTrial`) — one fused
+gather/OR/popcount per subset size.  The ``packed_*`` functions are the
+one implementation, shared by datasets and streamed campaigns
+(:mod:`repro.core.streaming`); the boolean-union original is the
+differential oracle in :mod:`repro.core.oracle`.
 """
 
 from __future__ import annotations
@@ -22,13 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.dataset import CampaignDataset, TrialData
-from repro.core.engine import (
-    AnalysisContext,
-    PackedTrial,
-    get_context,
-    resolve_engine,
-)
+from repro.core.dataset import CampaignDataset, TrialData, common_origins
+from repro.core.engine import AnalysisContext, PackedTrial, packed_trials
 
 
 @dataclass
@@ -54,85 +48,8 @@ class KOriginSummary:
     samples: List[ComboCoverage]
 
 
-def _packed_combo_coverages(trial_data: TrialData, k: int,
-                            chosen: Sequence[str], single_probe: bool,
-                            context: Optional[AnalysisContext]
-                            ) -> List[ComboCoverage]:
-    """Packed-engine subset enumeration: OR rows, popcount, divide."""
-    if context is not None:
-        packed = context.packed_trial(trial_data.trial,
-                                      single_probe=single_probe)
-    else:
-        packed = PackedTrial(trial_data, single_probe=single_probe)
-    rows = packed.rows_for(chosen)
-    combos = list(itertools.combinations(range(len(chosen)), k))
-    subsets = rows[np.array(combos, dtype=np.intp)]       # (m, k)
-    counts = packed.union_counts(subsets)                 # (m,)
-    total = packed.total
-    coverages = counts / total if total else np.zeros(len(combos))
-    return [ComboCoverage(combo=tuple(chosen[i] for i in combo),
-                          trial=trial_data.trial,
-                          coverage=float(coverage))
-            for combo, coverage in zip(combos, coverages)]
-
-
-def combo_coverages(trial_data: TrialData, k: int,
-                    origins: Optional[Sequence[str]] = None,
-                    single_probe: bool = False,
-                    engine: Optional[str] = None,
-                    context: Optional[AnalysisContext] = None
-                    ) -> List[ComboCoverage]:
-    """Union coverage of every k-subset of origins for one trial."""
-    chosen = [o for o in (origins or trial_data.origins)
-              if trial_data.has_origin(o)]
-    if k < 1 or k > len(chosen):
-        raise ValueError(f"k must be in [1, {len(chosen)}]")
-    if resolve_engine(engine) == "packed":
-        return _packed_combo_coverages(trial_data, k, chosen,
-                                       single_probe, context)
-    truth = trial_data.ground_truth(single_probe=single_probe)
-    total = int(truth.sum())
-    masks = {o: trial_data.accessible(o, single_probe=single_probe) & truth
-             for o in chosen}
-    out: List[ComboCoverage] = []
-    for combo in itertools.combinations(chosen, k):
-        union = np.zeros(len(truth), dtype=bool)
-        for origin in combo:
-            union |= masks[origin]
-        coverage = float(union.sum() / total) if total else 0.0
-        out.append(ComboCoverage(combo=combo, trial=trial_data.trial,
-                                 coverage=coverage))
-    return out
-
-
-def _context_for(dataset: CampaignDataset, protocol: str, engine: str,
-                 context: Optional[AnalysisContext]
-                 ) -> Optional[AnalysisContext]:
-    """The shared context for dataset-level packed runs (None otherwise)."""
-    if context is not None:
-        return context
-    if engine == "packed":
-        return get_context(dataset, protocol)
-    return None
-
-
-def k_origin_summary(dataset: CampaignDataset, protocol: str, k: int,
-                     origins: Optional[Sequence[str]] = None,
-                     single_probe: bool = False,
-                     engine: Optional[str] = None,
-                     context: Optional[AnalysisContext] = None
-                     ) -> KOriginSummary:
-    """Coverage distribution over all k-subsets, pooled across trials."""
-    engine = resolve_engine(engine)
-    context = _context_for(dataset, protocol, engine, context)
-    chosen = list(origins) if origins is not None \
-        else dataset.origins_for(protocol)
-    samples: List[ComboCoverage] = []
-    for trial in dataset.trials_for(protocol):
-        table = dataset.trial_data(protocol, trial)
-        samples.extend(combo_coverages(table, k, origins=chosen,
-                                       single_probe=single_probe,
-                                       engine=engine, context=context))
+def summarize(k: int, samples: List[ComboCoverage]) -> KOriginSummary:
+    """Pool per-(subset, trial) coverages into one k-subset summary."""
     values = np.array([s.coverage for s in samples])
     return KOriginSummary(
         k=k,
@@ -145,35 +62,8 @@ def k_origin_summary(dataset: CampaignDataset, protocol: str, k: int,
         samples=samples)
 
 
-def multi_origin_table(dataset: CampaignDataset, protocol: str,
-                       origins: Optional[Sequence[str]] = None,
-                       single_probe: bool = False,
-                       max_k: Optional[int] = None,
-                       engine: Optional[str] = None,
-                       context: Optional[AnalysisContext] = None
-                       ) -> Dict[int, KOriginSummary]:
-    """Figure 15/17's data: one summary per subset size."""
-    engine = resolve_engine(engine)
-    context = _context_for(dataset, protocol, engine, context)
-    chosen = list(origins) if origins is not None \
-        else dataset.origins_for(protocol)
-    limit = max_k if max_k is not None else len(chosen)
-    return {k: k_origin_summary(dataset, protocol, k, origins=chosen,
-                                single_probe=single_probe,
-                                engine=engine, context=context)
-            for k in range(1, limit + 1)}
-
-
-def best_combination(dataset: CampaignDataset, protocol: str, k: int,
-                     origins: Optional[Sequence[str]] = None,
-                     single_probe: bool = False,
-                     engine: Optional[str] = None,
-                     context: Optional[AnalysisContext] = None
-                     ) -> Tuple[Tuple[str, ...], float]:
-    """The k-subset with the highest mean coverage across trials."""
-    summary = k_origin_summary(dataset, protocol, k, origins=origins,
-                               single_probe=single_probe,
-                               engine=engine, context=context)
+def best_of(summary: KOriginSummary) -> Tuple[Tuple[str, ...], float]:
+    """The subset of ``summary`` with the highest mean coverage."""
     by_combo: Dict[Tuple[str, ...], List[float]] = {}
     for sample in summary.samples:
         by_combo.setdefault(sample.combo, []).append(sample.coverage)
@@ -183,44 +73,115 @@ def best_combination(dataset: CampaignDataset, protocol: str, k: int,
     return best, means[best]
 
 
+def packed_combo_coverages(packed: PackedTrial, k: int,
+                           origins: Optional[Sequence[str]] = None
+                           ) -> List[ComboCoverage]:
+    """Union coverage of every k-subset of ``origins`` (default: all of
+    the trial's) present in one packed trial: OR rows, popcount, divide."""
+    chosen = packed.present(origins or packed.origins)
+    if k < 1 or k > len(chosen):
+        raise ValueError(f"k must be in [1, {len(chosen)}]")
+    rows = packed.rows_for(chosen)
+    combos = list(itertools.combinations(range(len(chosen)), k))
+    counts = packed.union_counts(rows[np.array(combos, dtype=np.intp)])
+    total = packed.total
+    coverages = counts / total if total else np.zeros(len(combos))
+    return [ComboCoverage(combo=tuple(chosen[i] for i in combo),
+                          trial=packed.trial, coverage=float(coverage))
+            for combo, coverage in zip(combos, coverages)]
+
+
+def packed_k_origin_summary(trials: Sequence[PackedTrial], k: int,
+                            origins: Optional[Sequence[str]] = None
+                            ) -> KOriginSummary:
+    """Coverage distribution over all k-subsets of ``origins`` (default:
+    those in every trial), pooled across trials."""
+    if origins is None:
+        origins = common_origins(trials)
+    samples: List[ComboCoverage] = []
+    for packed in trials:
+        samples.extend(packed_combo_coverages(packed, k, origins))
+    return summarize(k, samples)
+
+
+def packed_multi_origin_table(trials: Sequence[PackedTrial],
+                              origins: Optional[Sequence[str]] = None,
+                              max_k: Optional[int] = None
+                              ) -> Dict[int, KOriginSummary]:
+    """One summary per subset size 1..``max_k`` (default: all)."""
+    if origins is None:
+        origins = common_origins(trials)
+    limit = max_k if max_k is not None else len(origins)
+    return {k: packed_k_origin_summary(trials, k, origins)
+            for k in range(1, limit + 1)}
+
+
+def combo_coverages(trial_data: TrialData, k: int,
+                    origins: Optional[Sequence[str]] = None,
+                    single_probe: bool = False,
+                    context: Optional[AnalysisContext] = None
+                    ) -> List[ComboCoverage]:
+    """Union coverage of every k-subset of origins for one trial."""
+    packed = context.packed_trial(trial_data.trial,
+                                  single_probe=single_probe) \
+        if context is not None \
+        else PackedTrial.from_trial(trial_data, single_probe=single_probe)
+    return packed_combo_coverages(packed, k, origins)
+
+
+def k_origin_summary(dataset: CampaignDataset, protocol: str, k: int,
+                     origins: Optional[Sequence[str]] = None,
+                     single_probe: bool = False,
+                     context: Optional[AnalysisContext] = None
+                     ) -> KOriginSummary:
+    """Coverage distribution over all k-subsets, pooled across trials."""
+    return packed_k_origin_summary(
+        packed_trials(dataset, protocol, single_probe, context), k, origins)
+
+
+def multi_origin_table(dataset: CampaignDataset, protocol: str,
+                       origins: Optional[Sequence[str]] = None,
+                       single_probe: bool = False,
+                       max_k: Optional[int] = None,
+                       context: Optional[AnalysisContext] = None
+                       ) -> Dict[int, KOriginSummary]:
+    """Figure 15/17's data: one summary per subset size."""
+    return packed_multi_origin_table(
+        packed_trials(dataset, protocol, single_probe, context), origins,
+        max_k=max_k)
+
+
+def best_combination(dataset: CampaignDataset, protocol: str, k: int,
+                     origins: Optional[Sequence[str]] = None,
+                     single_probe: bool = False,
+                     context: Optional[AnalysisContext] = None
+                     ) -> Tuple[Tuple[str, ...], float]:
+    """The k-subset with the highest mean coverage across trials."""
+    return best_of(k_origin_summary(dataset, protocol, k, origins=origins,
+                                    single_probe=single_probe,
+                                    context=context))
+
+
 def combo_mean_coverage(dataset: CampaignDataset, protocol: str,
                         combo: Sequence[str],
                         single_probe: bool = False,
-                        engine: Optional[str] = None,
                         context: Optional[AnalysisContext] = None
                         ) -> float:
     """Mean coverage across trials for one specific origin subset."""
-    engine = resolve_engine(engine)
-    context = _context_for(dataset, protocol, engine, context)
     values = []
-    for trial in dataset.trials_for(protocol):
-        table = dataset.trial_data(protocol, trial)
-        if engine == "packed":
-            packed = context.packed_trial(trial, single_probe=single_probe) \
-                if context is not None \
-                else PackedTrial(table, single_probe=single_probe)
-            present = [o for o in combo if table.has_origin(o)]
-            if present and packed.total:
-                rows = packed.rows_for(present)
-                count = int(packed.union_counts(rows[None, :])[0])
-                values.append(count / packed.total)
-            else:
-                values.append(0.0)
-            continue
-        truth = table.ground_truth(single_probe=single_probe)
-        total = int(truth.sum())
-        union = np.zeros(len(truth), dtype=bool)
-        for origin in combo:
-            if table.has_origin(origin):
-                union |= table.accessible(origin,
-                                          single_probe=single_probe)
-        values.append(float((union & truth).sum() / total) if total else 0.0)
+    for packed in packed_trials(dataset, protocol, single_probe, context):
+        present = packed.present(combo)
+        if present and packed.total:
+            rows = packed.rows_for(present)
+            count = int(packed.union_counts(rows[None, :])[0])
+            values.append(count / packed.total)
+        else:
+            values.append(0.0)
     return float(np.mean(values)) if values else float("nan")
 
 
 def probe_origin_tradeoff(dataset: CampaignDataset, protocol: str,
                           origins: Optional[Sequence[str]] = None,
-                          engine: Optional[str] = None,
                           context: Optional[AnalysisContext] = None
                           ) -> Dict[str, float]:
     """§7's bandwidth trade-off: probes vs origins.
@@ -231,13 +192,13 @@ def probe_origin_tradeoff(dataset: CampaignDataset, protocol: str,
     from one, and one probe from three origins beats two probes from two
     while costing less bandwidth.
     """
-    engine = resolve_engine(engine)
-    context = _context_for(dataset, protocol, engine, context)
+    trials = {single_probe: packed_trials(dataset, protocol, single_probe,
+                                          context)
+              for single_probe in (True, False)}
 
     def median(k: int, single_probe: bool) -> float:
-        return k_origin_summary(dataset, protocol, k, origins,
-                                single_probe=single_probe,
-                                engine=engine, context=context).median
+        return packed_k_origin_summary(trials[single_probe], k,
+                                       origins).median
 
     return {
         "1probe_1origin": median(1, True),

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import enum
 
-import numpy as np
-
 
 class L7Status(enum.IntEnum):
     """Outcome of the application-layer follow-up for one service."""
@@ -32,36 +30,3 @@ class L7Status(enum.IntEnum):
 #: Statuses that count as "the origin saw this host" for ground truth and
 #: coverage purposes (the paper requires a completed L7 handshake).
 ACCESSIBLE_STATUSES = (L7Status.SUCCESS,)
-
-#: Statuses where the TCP handshake completed (L4-responsive).
-L4_RESPONSIVE_STATUSES = (
-    L7Status.L4_DROP,
-    L7Status.L4_CLOSE_FIN,
-    L7Status.L4_CLOSE_RST,
-    L7Status.SUCCESS,
-)
-
-#: Statuses where the server explicitly closed after the TCP handshake —
-#: the behaviour §6 uses to identify probabilistic temporary blocking.
-EXPLICIT_CLOSE_STATUSES = (
-    L7Status.L4_CLOSE_FIN,
-    L7Status.L4_CLOSE_RST,
-)
-
-
-def accessible_mask(l7: np.ndarray) -> np.ndarray:
-    """Boolean mask of services whose L7 handshake completed."""
-    return np.asarray(l7) == int(L7Status.SUCCESS)
-
-
-def l4_responsive_mask(l7: np.ndarray) -> np.ndarray:
-    """Boolean mask of services that completed the TCP handshake."""
-    arr = np.asarray(l7)
-    return arr != int(L7Status.NO_L4)
-
-
-def explicit_close_mask(l7: np.ndarray) -> np.ndarray:
-    """Boolean mask of services that closed explicitly after TCP."""
-    arr = np.asarray(l7)
-    return ((arr == int(L7Status.L4_CLOSE_FIN))
-            | (arr == int(L7Status.L4_CLOSE_RST)))

@@ -1,45 +1,36 @@
-"""Streaming (out-of-core) analysis over per-shard packed planes.
+"""Streaming (out-of-core) accumulation of per-shard packed planes.
 
-The packed engine (:mod:`repro.core.engine`) represents presence as bit
-planes, and every statistic the paper grid needs — per-origin coverage,
-the all-origin intersection, k-subset union coverage, bootstrap CIs —
-is OR/AND/popcount algebra over those planes.  Bitwise algebra is
+Every statistic the paper grid needs is OR/AND/popcount algebra over
+bit planes (:mod:`repro.core.engine`), and bitwise algebra is
 associative across any host partition, so a sharded campaign
-(:mod:`repro.sim.shard`) never has to materialize a full
-:class:`~repro.core.dataset.CampaignDataset`: each shard's trial table
-is reduced into this module's accumulators the moment it is observed,
-and the raw observation arrays are dropped.  Resident state is one
-shard's tables plus the accumulated planes — bits per host, not bytes.
+(:mod:`repro.sim.shard`) never materializes a
+:class:`~repro.core.dataset.CampaignDataset`: each shard's success
+planes are reduced into this module's accumulators as they are
+observed.  Resident state is one shard plus the planes — bits per host.
 
-The numbers are *byte-identical* to the monolithic path: packing a
-concatenation equals concatenating packings (the
 :class:`BitPlaneWriter` carries the sub-byte remainder across shard
-boundaries), popcounts of equal planes are equal, and every derived
-statistic below performs the same reductions in the same order as its
-dataset-level counterpart (``tests/test_shard_world.py`` pins this).
-
-What streams: per-origin/intersection coverage tables
-(:class:`~repro.core.coverage.CoverageTable`), multi-origin k-subset
-tables, best combinations, per-origin bootstrap intervals, and per-AS
-coverage rates.  What does not: analyses needing raw per-host columns
-(miss taxonomy, burst reconstruction, SSH retries) still require a
-materialized dataset — see ``docs/SCALING.md``.
+boundaries, so a finished :class:`StreamingTrial` is the very
+:class:`~repro.core.engine.PackedTrial` the materialized dataset packs,
+and :class:`StreamingCampaignResult`'s analyses call the same packed
+functions the dataset analyses do.  Analyses needing raw per-host
+columns (miss taxonomy, bursts, SSH retries) still need a dataset —
+see ``docs/SCALING.md``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bootstrap import (Interval, _percentile_interval,
-                                  _replicate_stats)
-from repro.core.coverage import CoverageTable
-from repro.core.engine import PackedTrial, resolve_engine
-from repro.core.multi_origin import ComboCoverage, KOriginSummary
-from repro.rng import CounterRNG
+from repro.core.bootstrap import Interval, packed_coverage_interval
+from repro.core.coverage import CoverageTable, packed_coverage_table
+from repro.core.dataset import common_origins
+from repro.core.engine import PackedTrial
+from repro.core.multi_origin import (KOriginSummary, best_of,
+                                     packed_k_origin_summary,
+                                     packed_multi_origin_table)
 from repro import telemetry
 
 
@@ -95,12 +86,10 @@ class StreamingTrial:
     origins: List[str] = field(default_factory=list)
     _truth_writer: BitPlaneWriter = field(default_factory=BitPlaneWriter)
     _origin_writers: List[BitPlaneWriter] = field(default_factory=list)
-    total: int = 0
     n_hosts: int = 0
     truth_by_as: Optional[np.ndarray] = None
     seen_by_as: Optional[np.ndarray] = None
     _packed: Optional[PackedTrial] = None
-    _truth_plane: Optional[np.ndarray] = None
 
     def add_shard_planes(self, origins: Sequence[str],
                          as_index: np.ndarray,
@@ -136,7 +125,6 @@ class StreamingTrial:
         for row in accessible:
             truth |= row
         self._truth_writer.append(truth)
-        self.total += int(truth.sum())
         self.n_hosts += len(truth)
         self.truth_by_as += np.bincount(as_index[truth],
                                         minlength=self.n_ases)
@@ -154,17 +142,15 @@ class StreamingTrial:
             if not self.origins:
                 raise RuntimeError("no shards were accumulated")
             planes = np.stack([w.finish() for w in self._origin_writers])
-            self._truth_plane = self._truth_writer.finish()
-            self._packed = PackedTrial.from_parts(
+            self._packed = PackedTrial(
                 self.protocol, self.trial, self.origins, planes,
-                self.total, self.n_hosts)
+                self._truth_writer.finish(), self.n_hosts)
         return self._packed
 
     @property
     def truth_plane(self) -> np.ndarray:
-        """The packed ground-truth plane (after :meth:`finish`)."""
-        self.finish()
-        return self._truth_plane
+        """The packed ground-truth plane (finishes the accumulation)."""
+        return self.finish().truth
 
 
 class StreamingCampaignResult:
@@ -195,162 +181,55 @@ class StreamingCampaignResult:
     def trials_for(self, protocol: str) -> List[int]:
         return sorted(t for p, t in self.trials if p == protocol)
 
-    def streaming_trial(self, protocol: str, trial: int) -> StreamingTrial:
-        return self.trials[(protocol, trial)]
-
     def packed_trial(self, protocol: str, trial: int) -> PackedTrial:
         return self.trials[(protocol, trial)].finish()
 
     def origins_for(self, protocol: str) -> List[str]:
         """Origins present in every trial, in first-trial order (the
         paper's aggregate-statistics rule — drops late joiners)."""
-        trials = self.trials_for(protocol)
-        if not trials:
-            return []
-        first = self.trials[(protocol, trials[0])].origins
-        everywhere = set(first)
-        for trial in trials[1:]:
-            everywhere &= set(self.trials[(protocol, trial)].origins)
-        return [o for o in first if o in everywhere]
+        return common_origins([self.trials[(protocol, trial)]
+                               for trial in self.trials_for(protocol)])
+
+    def _packed_trials(self, protocol: str) -> List[PackedTrial]:
+        return [self.packed_trial(protocol, trial)
+                for trial in self.trials_for(protocol)]
 
     # ------------------------------------------------------------------
-    # Coverage (Table 4)
+    # The paper-grid analyses: the dataset analyses' packed functions
     # ------------------------------------------------------------------
 
     def coverage_table(self, protocol: str,
                        origins: Optional[Sequence[str]] = None
                        ) -> CoverageTable:
-        """The Table 4 analog, byte-identical to
-        :func:`repro.core.coverage.coverage_table` on the materialized
-        dataset (same popcounts, same division order)."""
-        from repro.core.bits import popcount_packed
-
-        trials = self.trials_for(protocol)
-        chosen = list(origins) if origins is not None \
-            else self.origins_for(protocol)
-        coverage: Dict[int, Dict[str, float]] = {}
-        intersection: Dict[int, float] = {}
-        union_size: Dict[int, int] = {}
-        for trial in trials:
-            streaming = self.trials[(protocol, trial)]
-            packed = streaming.finish()
-            total = packed.total
-            union_size[trial] = total
-            per_origin: Dict[str, float] = {}
-            present = [o for o in chosen if o in packed._rows]
-            for origin in present:
-                count = int(popcount_packed(
-                    packed.packed[packed._rows[origin]]))
-                per_origin[origin] = float(count / total) if total else 0.0
-            coverage[trial] = per_origin
-            # Fold from the truth plane so an empty origin list yields
-            # the reference path's truth/truth = 1.0, not 0.0.
-            everyone = streaming.truth_plane.copy()
-            for origin in present:
-                everyone &= packed.packed[packed._rows[origin]]
-            intersection[trial] = float(
-                int(popcount_packed(everyone)) / total) if total else 0.0
-        return CoverageTable(protocol=protocol, origins=chosen,
-                             trials=list(trials), coverage=coverage,
-                             intersection=intersection,
-                             union_size=union_size)
-
-    # ------------------------------------------------------------------
-    # Multi-origin (Figures 15/17)
-    # ------------------------------------------------------------------
-
-    def _combo_samples(self, protocol: str, trial: int, k: int,
-                       origins: Sequence[str]) -> List[ComboCoverage]:
-        packed = self.packed_trial(protocol, trial)
-        chosen = [o for o in origins if o in packed._rows]
-        if k < 1 or k > len(chosen):
-            raise ValueError(f"k must be in [1, {len(chosen)}]")
-        rows = packed.rows_for(chosen)
-        combos = list(itertools.combinations(range(len(chosen)), k))
-        subsets = rows[np.array(combos, dtype=np.intp)]
-        counts = packed.union_counts(subsets)
-        total = packed.total
-        coverages = counts / total if total else np.zeros(len(combos))
-        return [ComboCoverage(combo=tuple(chosen[i] for i in combo),
-                              trial=trial, coverage=float(coverage))
-                for combo, coverage in zip(combos, coverages)]
+        """The Table 4 analog (:func:`repro.core.coverage.coverage_table`
+        on the materialized dataset, to the byte)."""
+        return packed_coverage_table(protocol,
+                                     self._packed_trials(protocol), origins)
 
     def k_origin_summary(self, protocol: str, k: int,
                          origins: Optional[Sequence[str]] = None
                          ) -> KOriginSummary:
-        """Packed-engine k-subset distribution over the planes —
-        identical floats to :func:`repro.core.multi_origin.k_origin_summary`
-        with ``engine="packed"``."""
-        chosen = list(origins) if origins is not None \
-            else self.origins_for(protocol)
-        samples: List[ComboCoverage] = []
-        for trial in self.trials_for(protocol):
-            samples.extend(self._combo_samples(protocol, trial, k, chosen))
-        values = np.array([s.coverage for s in samples])
-        return KOriginSummary(
-            k=k, median=float(np.median(values)),
-            q1=float(np.percentile(values, 25)),
-            q3=float(np.percentile(values, 75)),
-            minimum=float(values.min()), maximum=float(values.max()),
-            std=float(values.std()), samples=samples)
+        return packed_k_origin_summary(self._packed_trials(protocol), k,
+                                       origins)
 
     def multi_origin_table(self, protocol: str,
                            origins: Optional[Sequence[str]] = None,
                            max_k: Optional[int] = None
                            ) -> Dict[int, KOriginSummary]:
-        chosen = list(origins) if origins is not None \
-            else self.origins_for(protocol)
-        limit = max_k if max_k is not None else len(chosen)
-        return {k: self.k_origin_summary(protocol, k, origins=chosen)
-                for k in range(1, limit + 1)}
+        return packed_multi_origin_table(self._packed_trials(protocol),
+                                         origins, max_k=max_k)
 
     def best_combination(self, protocol: str, k: int,
                          origins: Optional[Sequence[str]] = None
                          ) -> Tuple[Tuple[str, ...], float]:
-        summary = self.k_origin_summary(protocol, k, origins=origins)
-        by_combo: Dict[Tuple[str, ...], List[float]] = {}
-        for sample in summary.samples:
-            by_combo.setdefault(sample.combo, []).append(sample.coverage)
-        means = {combo: float(np.mean(vals))
-                 for combo, vals in by_combo.items()}
-        best = max(means, key=means.get)
-        return best, means[best]
-
-    # ------------------------------------------------------------------
-    # Bootstrap CIs
-    # ------------------------------------------------------------------
+        return best_of(self.k_origin_summary(protocol, k, origins=origins))
 
     def coverage_interval(self, protocol: str, trial: int, origin: str,
                           replicates: int = 500, confidence: float = 0.95,
-                          seed: int = 0,
-                          engine: Optional[str] = None) -> Interval:
-        """Bootstrap CI from the planes: same draws, same reduction, so
-        the interval equals
-        :func:`repro.core.bootstrap.coverage_interval` on the
-        materialized trial exactly."""
-        if replicates < 10:
-            raise ValueError("need at least 10 replicates")
-        if not 0.0 < confidence < 1.0:
-            raise ValueError("confidence must be in (0, 1)")
-        engine = resolve_engine(engine)
-        streaming = self.trials[(protocol, trial)]
-        packed = streaming.finish()
-        truth = np.unpackbits(
-            streaming.truth_plane,
-            count=packed.n_hosts).astype(bool)
-        accessible = np.unpackbits(
-            packed.packed[packed._rows[origin]],
-            count=packed.n_hosts).astype(bool)
-        seen = accessible[truth]
-        n = packed.total
-        if n == 0:
-            return Interval(float("nan"), float("nan"), float("nan"),
-                            confidence)
-        point = float(seen.mean())
-        rng = CounterRNG(seed, "bootstrap-coverage", origin, protocol,
-                         int(trial))
-        stats = _replicate_stats(rng, seen, n, replicates, engine)
-        return _percentile_interval(point, stats, confidence)
+                          seed: int = 0) -> Interval:
+        return packed_coverage_interval(
+            self.packed_trial(protocol, trial), origin,
+            replicates=replicates, confidence=confidence, seed=seed)
 
     # ------------------------------------------------------------------
     # Per-AS rates (the scale-invariance observable)

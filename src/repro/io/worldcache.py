@@ -12,9 +12,11 @@ columnar snapshot (:mod:`repro.io.columnar`), so a warm
 The key is a SHA-256 over a *canonical pickle* of the inputs: a
 C-speed pickle at a pinned protocol whose one source of nondeterminism
 — set/frozenset iteration order, which varies with ``PYTHONHASHSEED``
-— is removed by a dispatch-table override that pickles sets as sorted
-tuples.  Pickle bytes decode to exactly one value, so two different
-inputs can never share a key (no false hits); at worst an equal value
+— is removed by first walking the value and rewriting every set as a
+sorted tuple (:func:`_canonical`).  That rewrite is injective (its
+tuples are headed by a module-private tag no input holds), and
+pickle bytes decode to exactly one value, so two different inputs can
+never share a key (no false hits); at worst an equal value
 constructed with different internal sharing re-pickles differently and
 misses spuriously, which only costs a rebuild.  Any input change (a
 spec field, the seed, the scale folded into the specs, a GeoIP country
@@ -46,7 +48,7 @@ since warmth is process-local state.
 
 from __future__ import annotations
 
-import copyreg
+import dataclasses
 import hashlib
 import io
 import os
@@ -54,7 +56,7 @@ import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.io.columnar import (FORMAT_VERSION, SnapshotError, load_hosts,
                                load_world, read_snapshot_manifest,
@@ -100,24 +102,58 @@ def cache_dir(directory: Optional[PathLike] = None) -> Path:
 #: Python must not silently re-key (and orphan) every cached world.
 _KEY_PROTOCOL = 5
 
-_KEY_DISPATCH = copyreg.dispatch_table.copy()
-_KEY_DISPATCH[frozenset] = \
-    lambda s: (frozenset, (tuple(sorted(s, key=repr)),))
-_KEY_DISPATCH[set] = lambda s: (set, (tuple(sorted(s, key=repr)),))
+#: Types pickle writes deterministically as they are.
+_ATOMS = frozenset({str, int, float, bool, bytes, type(None)})
+
+#: Per class: its field names for a dataclass, ``None`` for anything
+#: else.
+_FIELDS: Dict[type, Optional[tuple]] = {}
+
+
+class _Tag:
+    """Heads each tuple :func:`_canonical` rewrites (no input holds it)."""
+
+
+def _canonical(value):
+    """``value`` with every set/frozenset replaced by a sorted tuple.
+
+    Walks lists, tuples, dicts and dataclass instances; anything else is
+    left to pickle.  A set becomes ``(_Tag, type name, sorted items)``
+    and a dataclass ``(_Tag, class, *field values)``: the private tag
+    keeps the rewrite injective.  The walk must be explicit: at protocol
+    5 the C pickler writes sets natively and never consults a
+    ``dispatch_table`` for them.
+    """
+    kind = type(value)
+    if kind is list or kind is tuple:
+        return kind([item if type(item) in _ATOMS else _canonical(item)
+                     for item in value])
+    if kind is dict:
+        return {key: item if type(item) in _ATOMS else _canonical(item)
+                for key, item in value.items()}
+    if kind is set or kind is frozenset:
+        return (_Tag, kind.__name__,
+                tuple(sorted([_canonical(v) for v in value], key=repr)))
+    if kind not in _FIELDS:
+        _FIELDS[kind] = tuple(f.name for f in dataclasses.fields(kind)) \
+            if dataclasses.is_dataclass(kind) else None
+    names = _FIELDS[kind]
+    if names is None:
+        return value
+    return (_Tag, kind, *[item if type(item) in _ATOMS else _canonical(item)
+                          for item in map(value.__getattribute__, names)])
 
 
 def _canonical_bytes(value) -> bytes:
     """Deterministic pickle of ``value`` (sets pickled as sorted tuples).
 
-    Dicts pickle in insertion order and dataclasses/enums by structure,
-    both deterministic; set iteration order — the one place
+    Dicts pickle in insertion order and enums by reference, both
+    deterministic; set iteration order — the one place
     ``PYTHONHASHSEED`` leaks into pickle output — is canonicalized by
-    the dispatch-table overrides.
+    :func:`_canonical` before pickling.
     """
     buffer = io.BytesIO()
-    pickler = pickle.Pickler(buffer, protocol=_KEY_PROTOCOL)
-    pickler.dispatch_table = _KEY_DISPATCH
-    pickler.dump(value)
+    pickle.Pickler(buffer, protocol=_KEY_PROTOCOL).dump(_canonical(value))
     return buffer.getvalue()
 
 

@@ -20,7 +20,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.core.engine import ENGINES
 from repro.core.report import full_report
 from repro.origins import followup_origins, paper_origins
 from repro.serve import resultcache
@@ -85,7 +84,6 @@ class CampaignRequest:
     scale: float = 0.05
     protocols: Tuple[str, ...] = PROTOCOLS
     n_trials: int = 3
-    engine: Optional[str] = None
     #: ``> 1`` builds the world with ``paper_sharded_scenario`` and runs
     #: it shard by shard through the same campaign loop — same bytes,
     #: bounded memory, one ``shard.stream`` span per shard.
@@ -102,8 +100,7 @@ class CampaignRequest:
         return json.dumps({
             "scenario": self.scenario, "seed": self.seed,
             "scale": self.scale, "protocols": list(self.protocols),
-            "n_trials": self.n_trials, "engine": self.engine,
-            "shards": self.shards,
+            "n_trials": self.n_trials, "shards": self.shards,
             "origins": list(self.origins) if self.origins else None,
             "report": self.report,
         }, sort_keys=True, separators=(",", ":"))
@@ -117,7 +114,7 @@ def parse_request(payload: object) -> CampaignRequest:
     if not isinstance(payload, dict):
         raise BadRequest("request body must be a JSON object")
     unknown = set(payload) - {"scenario", "seed", "scale", "protocols",
-                              "n_trials", "engine", "shards", "origins",
+                              "n_trials", "shards", "origins",
                               "report"}
     if unknown:
         raise BadRequest(f"unknown request fields: {sorted(unknown)}")
@@ -154,11 +151,6 @@ def parse_request(payload: object) -> CampaignRequest:
             or not 1 <= n_trials <= MAX_TRIALS:
         raise BadRequest(f"n_trials must be an integer in [1, {MAX_TRIALS}]")
 
-    engine = payload.get("engine")
-    if engine is not None and engine not in ENGINES:
-        raise BadRequest(f"unknown engine {engine!r}; "
-                         f"expected one of {list(ENGINES)}")
-
     shards = payload.get("shards", 1)
     if not isinstance(shards, int) or isinstance(shards, bool) \
             or not 1 <= shards <= MAX_SHARDS:
@@ -188,7 +180,7 @@ def parse_request(payload: object) -> CampaignRequest:
 
     return CampaignRequest(scenario=scenario, seed=seed, scale=scale,
                            protocols=protocols, n_trials=n_trials,
-                           engine=engine, shards=shards, origins=origins,
+                           shards=shards, origins=origins,
                            report=surface)
 
 
@@ -285,7 +277,7 @@ class ServeState:
         surface = "report" if request.report == "full" else "grid"
         key = campaign_fingerprint(
             world, config, selected, request.protocols, request.n_trials,
-            extra={"engine": request.engine or "", "surface": surface})
+            extra={"surface": surface})
         with self._lock:
             self._keys[spec] = key
         return key
@@ -338,9 +330,7 @@ def run_request(request: CampaignRequest, state: ServeState) -> ResultPayload:
                 world, selected, config, protocols=request.protocols,
                 n_trials=request.n_trials, executor=state.executor,
                 workers=state.workers, origin_universe=universe,
-                plane_cache=state.plane_cache,
-                plane_extra={"engine": request.engine or ""},
-                plane_dir=state.cache_dir)
+                plane_cache=state.plane_cache, plane_dir=state.cache_dir)
             plane_stats = result.metadata.get("plane_cache")
             report = json.dumps(result.report(), sort_keys=True,
                                 indent=2, default=str) + "\n"
@@ -350,7 +340,7 @@ def run_request(request: CampaignRequest, state: ServeState) -> ResultPayload:
                 world, selected, config, protocols=request.protocols,
                 n_trials=request.n_trials, executor=state.executor,
                 workers=state.workers, origin_universe=universe)
-            report = full_report(dataset, engine=request.engine)
+            report = full_report(dataset)
     meta = {
         "request": request.to_json(),
         "seed": int(config.seed),
@@ -359,7 +349,6 @@ def run_request(request: CampaignRequest, state: ServeState) -> ResultPayload:
         "origins": [o.name for o in selected],
         "protocols": list(request.protocols),
         "n_trials": request.n_trials,
-        "engine": request.engine,
         "report_nbytes": len(report.encode("utf-8")),
     }
     if plane_stats is not None:

@@ -103,9 +103,8 @@ class PlaneCacheSession:
     """Probe/store context for one campaign run.
 
     Precomputes everything shared by every unit key — the world
-    fingerprint, the config hash, the origin universe, the shard count,
-    serving-side ``extra`` parameters (e.g. the analysis engine) — so a
-    runner only supplies the (protocol, origin, trial, shard)
+    fingerprint, the config hash, the origin universe and the shard
+    count — so a runner only supplies the (protocol, origin, trial, shard)
     coordinate.  Tracks its own hit/miss/store/repair tallies for run
     metadata alongside the global ``serve.plane_*`` counters.
     """
@@ -115,7 +114,6 @@ class PlaneCacheSession:
     seed: int
     universe: Sequence[str]
     n_shards: int = 1
-    extra: Optional[Mapping] = None
     directory: Optional[PathLike] = None
     hits: int = 0
     misses: int = 0
@@ -140,8 +138,6 @@ class PlaneCacheSession:
             "universe": list(self.universe),
             "shard": [int(shard_index), int(self.n_shards)],
         }
-        if self.extra:
-            payload["extra"] = dict(self.extra)
         blob = json.dumps(payload, sort_keys=True,
                           default=str).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
@@ -238,8 +234,7 @@ class PlaneCacheSession:
 def session_for(world, config, universe: Sequence[str],
                 n_shards: int = 1,
                 enabled: Optional[bool] = None,
-                directory: Optional[PathLike] = None,
-                extra: Optional[Mapping] = None
+                directory: Optional[PathLike] = None
                 ) -> Optional[PlaneCacheSession]:
     """A session for one run, or ``None`` when the cache is off.
 
@@ -259,7 +254,6 @@ def session_for(world, config, universe: Sequence[str],
         seed=int(config.seed),
         universe=tuple(universe),
         n_shards=int(n_shards),
-        extra=dict(extra) if extra else None,
         directory=directory)
 
 

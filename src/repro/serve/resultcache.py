@@ -7,7 +7,7 @@ took to compute.  This module memoizes rendered reports the same way
 :mod:`repro.io.worldcache` memoizes compiled worlds — content-addressed
 by :func:`repro.sim.campaign.campaign_fingerprint` (the ``config_hash``
 / seed / world-fingerprint triple the telemetry manifest emits, plus the
-grid shape and analysis engine) and stored as columnar *result
+grid shape and report surface) and stored as columnar *result
 snapshots* (:func:`repro.io.columnar.save_result`): the exact report
 bytes next to the campaign's arrays, per-segment CRC-checked, written
 with temp-file + atomic rename.

@@ -206,7 +206,6 @@ def run_plane_campaign(world: World | ShardedWorld,
                        planned: bool = True,
                        origin_universe: Optional[Sequence[str]] = None,
                        plane_cache: Optional[bool] = None,
-                       plane_extra: Optional[Mapping] = None,
                        plane_dir: Union[str, os.PathLike, None] = None,
                        telemetry: Union[str, os.PathLike, Telemetry,
                                         None] = None,
@@ -243,8 +242,7 @@ def run_plane_campaign(world: World | ShardedWorld,
                 _PlaneSink(len(world.topology.ases)), executor=executor,
                 workers=workers, planned=planned, telemetry=telemetry,
                 origin_universe=origin_universe, budget=budget,
-                plane_cache=plane_cache, plane_extra=plane_extra,
-                plane_dir=plane_dir)
+                plane_cache=plane_cache, plane_dir=plane_dir)
 
 
 @contextlib.contextmanager
@@ -277,7 +275,7 @@ def _run(world, origins: Sequence[Origin], zmap: ZMapConfig,
          executor, workers, planned: bool, telemetry, origin_universe,
          progress: Optional[ProgressCallback] = None,
          budget: Optional[int] = None, plane_cache: Optional[bool] = None,
-         plane_extra: Optional[Mapping] = None, plane_dir=None):
+         plane_dir=None):
     """The one campaign loop behind every entry point.
 
     Builds the trial batches, opens a plane-cache session for planned
@@ -300,7 +298,7 @@ def _run(world, origins: Sequence[Origin], zmap: ZMapConfig,
             session = planecache.session_for(
                 world, zmap, _universe_names(origins, origin_universe),
                 n_shards=n_shards, enabled=plane_cache,
-                directory=plane_dir, extra=plane_extra)
+                directory=plane_dir)
         with tel.span("campaign.run", seed=zmap.seed,
                       protocols=list(protocols), n_trials=n_trials,
                       origins=[o.name for o in origins], n_shards=n_shards,
@@ -485,7 +483,7 @@ def campaign_fingerprint(world: World, zmap: ZMapConfig,
     world's own seed, the origin set, and the (protocols × trials) grid.
     The serving layer keys its content-addressed result cache and its
     in-flight request deduplication on this value; ``extra`` folds in
-    serving-side parameters (e.g. the analysis engine) that change the
+    serving-side parameters (e.g. the report surface) that change the
     rendered output without changing the dataset.
     """
     from repro.telemetry.manifest import config_hash, world_fingerprint

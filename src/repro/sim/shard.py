@@ -35,8 +35,8 @@ observe/execute/analyze on a fixed memory budget:
 
 Differential guarantees are pinned by ``tests/test_shard_world.py``:
 materialized shard tables equal the monolithic build, streamed packed
-planes equal the monolithic engine's, and the streamed paper-grid
-numbers equal the dataset-level analyses — at seed scale, across
+planes equal the monolithic run's, and the streamed paper-grid
+numbers equal the boolean oracle's — at seed scale, across
 executor backends.
 """
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.report import full_report
+from repro.core.engine import clear_context_cache
+from repro.core.report import SECTIONS, full_report
 from repro.io.ndjson import load_campaign
+from repro.telemetry.context import Telemetry, use
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +119,14 @@ class TestFullReport:
 
     def test_report_is_deterministic(self, small_campaign):
         assert full_report(small_campaign) == full_report(small_campaign)
+
+    def test_every_section_is_a_span_under_the_report(self, small_campaign):
+        clear_context_cache()
+        tel = Telemetry()
+        with use(tel):
+            full_report(small_campaign)
+        spans = [r for r in tel.records if r.get("t") == "span"]
+        [report] = [r for r in spans if r["name"] == "report"]
+        children = [r["name"] for r in spans
+                    if r.get("parent") == report["id"]]
+        assert children == [f"report.{name}" for name in SECTIONS]

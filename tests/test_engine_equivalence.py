@@ -1,11 +1,11 @@
-"""Differential suite: the packed engine is byte-identical to reference.
+"""Differential suite: the packed analyses are byte-identical to the oracle.
 
-Every analysis that grew an ``engine=`` parameter is run under both
-engines — over simulated campaigns at several seeds, over hand-built
-edge-case datasets, through ``full_report`` and through the CLI — and
-the results are compared for *exact* equality (not approximate): the
-packed rewrites are algebraically identical computations, so any
-difference at all is a bug.
+Every packed coverage, multi-origin and bootstrap analysis is compared
+with its boolean original in :mod:`repro.core.oracle` — over simulated
+campaigns at several seeds, over hand-built edge-case datasets, through
+``full_report`` and through the CLI — for *exact* equality (not
+approximate): the packed rewrites are algebraically identical
+computations, so any difference at all is a bug.
 
 Also covers the shared :class:`~repro.core.engine.AnalysisContext`:
 context-threaded calls must match context-less ones, and a full report
@@ -19,21 +19,21 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core import bootstrap, oracle
 from repro.core.bootstrap import (
     coverage_difference_interval,
     coverage_interval,
     coverage_intervals,
 )
+from repro.core.coverage import coverage_table
 from repro.core.classification import breakdown_by_origin, classify_misses
 from repro.core.dataset import align_ips
 from repro.core.engine import (
-    ENGINES,
     AnalysisContext,
     PackedTrial,
     clear_context_cache,
     dataset_fingerprint,
     get_context,
-    resolve_engine,
 )
 from repro.core.exclusivity import exclusivity_report
 from repro.core.ground_truth import build_presence
@@ -45,6 +45,7 @@ from repro.core.multi_origin import (
     probe_origin_tradeoff,
 )
 from repro.core.report import full_report
+from repro.io import load_any_campaign
 from repro.sim.campaign import run_campaign
 from repro.sim.scenario import small_scenario
 from repro.telemetry.context import Telemetry, use
@@ -65,6 +66,36 @@ def summaries_as_tuples(table):
             for k, s in table.items()}
 
 
+def table_as_tuple(table):
+    return (table.protocol, table.origins, table.trials, table.coverage,
+            table.intersection, table.union_size)
+
+
+# ----------------------------------------------------------------------
+# Coverage (Table 4)
+# ----------------------------------------------------------------------
+
+class TestCoverageEquivalence:
+    def test_coverage_table(self, seeded_campaign):
+        ds = seeded_campaign
+        for protocol in ds.protocols:
+            for single_probe in (False, True):
+                assert table_as_tuple(coverage_table(
+                    ds, protocol, single_probe=single_probe)) == \
+                    table_as_tuple(oracle.coverage_table(
+                        ds, protocol, single_probe=single_probe))
+
+    def test_coverage_table_origin_subsets(self, seeded_campaign):
+        ds = seeded_campaign
+        protocol = ds.protocols[0]
+        origins = ds.origins_for(protocol)
+        for chosen in (origins[:1], origins[1:3], [], origins + ["nowhere"]):
+            assert table_as_tuple(coverage_table(
+                ds, protocol, origins=chosen)) == \
+                table_as_tuple(oracle.coverage_table(ds, protocol,
+                                                     origins=chosen))
+
+
 # ----------------------------------------------------------------------
 # Multi-origin enumeration
 # ----------------------------------------------------------------------
@@ -77,11 +108,9 @@ class TestMultiOriginEquivalence:
             for single_probe in (False, True):
                 for k in range(1, len(table.origins) + 1):
                     packed = combo_coverages(table, k,
-                                             single_probe=single_probe,
-                                             engine="packed")
-                    ref = combo_coverages(table, k,
-                                          single_probe=single_probe,
-                                          engine="reference")
+                                             single_probe=single_probe)
+                    ref = oracle.combo_coverages(table, k,
+                                                 single_probe=single_probe)
                     assert [(c.combo, c.trial, c.coverage)
                             for c in packed] == \
                            [(c.combo, c.trial, c.coverage) for c in ref]
@@ -89,29 +118,37 @@ class TestMultiOriginEquivalence:
     def test_multi_origin_table(self, seeded_campaign):
         ds = seeded_campaign
         for protocol in ds.protocols:
-            packed = multi_origin_table(ds, protocol, engine="packed")
-            ref = multi_origin_table(ds, protocol, engine="reference")
+            packed = multi_origin_table(ds, protocol)
+            ref = oracle.multi_origin_table(ds, protocol)
             assert summaries_as_tuples(packed) == summaries_as_tuples(ref)
 
     def test_best_combination(self, seeded_campaign):
         ds = seeded_campaign
         for protocol in ds.protocols:
-            assert best_combination(ds, protocol, 2, engine="packed") == \
-                best_combination(ds, protocol, 2, engine="reference")
+            assert best_combination(ds, protocol, 2) == \
+                oracle.best_combination(ds, protocol, 2)
 
     def test_combo_mean_coverage(self, seeded_campaign):
         ds = seeded_campaign
         protocol = ds.protocols[0]
         combo = ds.origins_for(protocol)[:2]
-        assert combo_mean_coverage(ds, protocol, combo, engine="packed") \
-            == combo_mean_coverage(ds, protocol, combo,
-                                   engine="reference")
+        assert combo_mean_coverage(ds, protocol, combo) \
+            == oracle.combo_mean_coverage(ds, protocol, combo)
 
     def test_probe_origin_tradeoff(self, seeded_campaign):
         ds = seeded_campaign
         protocol = ds.protocols[0]
-        assert probe_origin_tradeoff(ds, protocol, engine="packed") == \
-            probe_origin_tradeoff(ds, protocol, engine="reference")
+        def median(k, single_probe):
+            return oracle.k_origin_summary(
+                ds, protocol, k, single_probe=single_probe).median
+
+        assert probe_origin_tradeoff(ds, protocol) == {
+            "1probe_1origin": median(1, True),
+            "2probe_1origin": median(1, False),
+            "1probe_2origin": median(2, True),
+            "2probe_2origin": median(2, False),
+            "1probe_3origin": median(3, True),
+        }
 
 
 # ----------------------------------------------------------------------
@@ -124,30 +161,31 @@ class TestBootstrapEquivalence:
         for protocol in ds.protocols:
             table = ds.trial_data(protocol, 0)
             for origin in table.origins:
-                packed = coverage_interval(table, origin, replicates=80,
-                                           engine="packed")
-                ref = coverage_interval(table, origin, replicates=80,
-                                        engine="reference")
+                packed = coverage_interval(table, origin, replicates=80)
+                ref = oracle.coverage_interval(table, origin, replicates=80)
                 assert packed == ref
 
-    def test_coverage_difference_interval(self, seeded_campaign):
+    def test_coverage_difference_interval(self, seeded_campaign,
+                                          monkeypatch):
+        # The float (paired-difference) case of the buffered replicate
+        # loop, against the oracle's per-replicate loop swapped in.
         ds = seeded_campaign
         protocol = ds.protocols[0]
         table = ds.trial_data(protocol, 0)
         a, b = table.origins[:2]
-        packed = coverage_difference_interval(table, a, b, replicates=80,
-                                              engine="packed")
-        ref = coverage_difference_interval(table, a, b, replicates=80,
-                                           engine="reference")
+        packed = coverage_difference_interval(table, a, b, replicates=80)
+        monkeypatch.setattr(bootstrap, "_replicate_stats",
+                            oracle.replicate_stats)
+        ref = coverage_difference_interval(table, a, b, replicates=80)
         assert packed == ref
 
     def test_coverage_intervals(self, seeded_campaign):
         ds = seeded_campaign
         protocol = ds.protocols[-1]
         table = ds.trial_data(protocol, 1)
-        assert coverage_intervals(table, replicates=50,
-                                  engine="packed") == \
-            coverage_intervals(table, replicates=50, engine="reference")
+        assert coverage_intervals(table, replicates=50) == {
+            origin: oracle.coverage_interval(table, origin, replicates=50)
+            for origin in table.origins}
 
     def test_single_probe_interval(self, seeded_campaign):
         ds = seeded_campaign
@@ -155,9 +193,9 @@ class TestBootstrapEquivalence:
         table = ds.trial_data(protocol, 0)
         origin = table.origins[0]
         assert coverage_interval(table, origin, replicates=50,
-                                 single_probe=True, engine="packed") == \
-            coverage_interval(table, origin, replicates=50,
-                              single_probe=True, engine="reference")
+                                 single_probe=True) == \
+            oracle.coverage_interval(table, origin, replicates=50,
+                                     single_probe=True)
 
 
 # ----------------------------------------------------------------------
@@ -166,21 +204,32 @@ class TestBootstrapEquivalence:
 
 class TestReportEquivalence:
     def test_full_report_identical(self, seeded_campaign):
-        assert full_report(seeded_campaign, engine="packed") == \
+        assert full_report(seeded_campaign) == \
+            full_report(seeded_campaign, engine="packed") == \
             full_report(seeded_campaign, engine="reference")
 
-    def test_env_default_respected(self, seeded_campaign, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYSIS_ENGINE", "reference")
-        assert resolve_engine(None) == "reference"
-        via_env = full_report(seeded_campaign)
-        monkeypatch.delenv("REPRO_ANALYSIS_ENGINE")
-        assert resolve_engine(None) == "packed"
-        assert via_env == full_report(seeded_campaign)
+    def test_reference_report_runs_the_oracle(self, seeded_campaign,
+                                              monkeypatch):
+        # engine="reference" is a real selector, never accepted and
+        # ignored: its coverage and multi-origin sections call the oracle.
+        calls = []
+        for name in ("coverage_table", "multi_origin_table"):
+            original = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name,
+                                lambda *a, _f=original, _n=name, **kw:
+                                calls.append(_n) or _f(*a, **kw))
+        full_report(seeded_campaign)
+        assert calls == []
+        full_report(seeded_campaign, engine="reference")
+        n = len(seeded_campaign.protocols)
+        assert sorted(calls) == ["coverage_table"] * n \
+            + ["multi_origin_table"] * n
 
-    def test_resolve_engine_rejects_unknown(self):
+    def test_full_report_rejects_unknown_engine(self):
+        ds = make_campaign([make_trial("http", 0, ["A"], [10], l7={
+            "A": ["ok"]})])
         with pytest.raises(ValueError, match="unknown analysis engine"):
-            resolve_engine("quantum")
-        assert set(ENGINES) == {"packed", "reference"}
+            full_report(ds, engine="quantum")
 
 
 class TestCLIEquivalence:
@@ -192,15 +241,13 @@ class TestCLIEquivalence:
                      "--seed", "23"]) == 0
         return target
 
-    def test_report_engine_flag(self, dataset_dir, capsys):
-        assert main(["report", str(dataset_dir),
-                     "--engine", "packed"]) == 0
-        packed = capsys.readouterr().out
-        assert main(["report", str(dataset_dir),
-                     "--engine", "reference"]) == 0
-        ref = capsys.readouterr().out
-        assert packed == ref
-        assert packed.strip()
+    def test_report_matches_oracle(self, dataset_dir, capsys):
+        assert main(["report", str(dataset_dir)]) == 0
+        printed = capsys.readouterr().out
+        assert printed.strip()
+        reference = full_report(load_any_campaign(str(dataset_dir)),
+                                engine="reference")
+        assert printed == reference + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +333,7 @@ class TestContextSharing:
 
 
 # ----------------------------------------------------------------------
-# Edge cases (hand-built datasets), both engines agreeing
+# Edge cases (hand-built datasets), packed and oracle agreeing
 # ----------------------------------------------------------------------
 
 class TestEdgeCases:
@@ -299,16 +346,14 @@ class TestEdgeCases:
         presence = build_presence(ds, "http")
         assert presence.present.shape == (1, 3)
         for k in (1, 2):
-            packed = combo_coverages(ds.trial_data("http", 0), k,
-                                     engine="packed")
-            ref = combo_coverages(ds.trial_data("http", 0), k,
-                                  engine="reference")
+            packed = combo_coverages(ds.trial_data("http", 0), k)
+            ref = oracle.combo_coverages(ds.trial_data("http", 0), k)
             assert [(c.combo, c.coverage) for c in packed] == \
                 [(c.combo, c.coverage) for c in ref]
-        assert summaries_as_tuples(
-            multi_origin_table(ds, "http", engine="packed")) == \
-            summaries_as_tuples(
-                multi_origin_table(ds, "http", engine="reference"))
+        assert summaries_as_tuples(multi_origin_table(ds, "http")) == \
+            summaries_as_tuples(oracle.multi_origin_table(ds, "http"))
+        assert table_as_tuple(coverage_table(ds, "http")) == \
+            table_as_tuple(oracle.coverage_table(ds, "http"))
 
     def test_disjoint_trial_universes(self):
         ds = make_campaign([
@@ -322,10 +367,10 @@ class TestEdgeCases:
         # Each trial only "presents" its own half of the universe.
         assert int(presence.present[0].sum()) == 2
         assert int(presence.present[1].sum()) == 2
-        assert summaries_as_tuples(
-            multi_origin_table(ds, "http", engine="packed")) == \
-            summaries_as_tuples(
-                multi_origin_table(ds, "http", engine="reference"))
+        assert summaries_as_tuples(multi_origin_table(ds, "http")) == \
+            summaries_as_tuples(oracle.multi_origin_table(ds, "http"))
+        assert table_as_tuple(coverage_table(ds, "http")) == \
+            table_as_tuple(oracle.coverage_table(ds, "http"))
 
     def test_origin_missing_from_one_trial(self):
         # The Carinet rule: an origin absent from a trial is dropped from
@@ -340,15 +385,16 @@ class TestEdgeCases:
         assert ds.origins_for("http") == ["A", "B"]
         presence = build_presence(ds, "http")
         assert presence.origins == ["A", "B"]
-        # combo including the partial origin: packed == reference.
-        assert combo_mean_coverage(ds, "http", ["A", "C"],
-                                   engine="packed") == \
-            combo_mean_coverage(ds, "http", ["A", "C"],
-                                engine="reference")
-        assert summaries_as_tuples(
-            multi_origin_table(ds, "http", engine="packed")) == \
-            summaries_as_tuples(
-                multi_origin_table(ds, "http", engine="reference"))
+        # combo including the partial origin: packed == oracle.
+        assert combo_mean_coverage(ds, "http", ["A", "C"]) == \
+            oracle.combo_mean_coverage(ds, "http", ["A", "C"])
+        assert summaries_as_tuples(multi_origin_table(ds, "http")) == \
+            summaries_as_tuples(oracle.multi_origin_table(ds, "http"))
+        # Per-trial tables still see C where it scanned.
+        every = ["A", "B", "C"]
+        assert table_as_tuple(coverage_table(ds, "http", origins=every)) \
+            == table_as_tuple(oracle.coverage_table(ds, "http",
+                                                    origins=every))
 
     def test_packed_trial_matches_boolean_algebra(self):
         ds = make_campaign([
@@ -357,9 +403,11 @@ class TestEdgeCases:
                 "B": ["none", "ok", "ok", "none", "none"]}),
         ])
         table = ds.trial_data("http", 0)
-        packed = PackedTrial(table)
+        packed = PackedTrial.from_trial(table)
         truth = table.ground_truth()
         assert packed.total == int(truth.sum())
+        assert np.array_equal(np.unpackbits(packed.truth, count=5),
+                              truth.astype(np.uint8))
         rows = packed.rows_for(["A", "B"])
         count = int(packed.union_counts(rows[None, :])[0])
         union = (table.accessible("A") | table.accessible("B")) & truth

@@ -137,7 +137,7 @@ def test_invalid_specs_are_rejected_with_400(tmp_path):
         client = ServeClient(port=ts.port)
         for bad in ({"seed": -1}, {"scenario": "nope"}, {"scale": 99.0},
                     {"protocols": ["smtp"]}, {"n_trials": 0},
-                    {"engine": "magic"}, {"bogus": 1}):
+                    {"engine": "packed"}, {"bogus": 1}):
             with pytest.raises(ServeError) as err:
                 client.campaign(**bad)
             assert err.value.status == 400, bad
@@ -242,7 +242,7 @@ def test_campaign_fingerprint_sensitivity():
                                         protocols=("http",))
     assert base != campaign_fingerprint(world, config, origins, n_trials=2)
     assert base != campaign_fingerprint(world, config, origins,
-                                        extra={"engine": "reference"})
+                                        extra={"surface": "grid"})
     other_world, _, other_config = paper_scenario(seed=4, scale=SCALE)
     assert base != campaign_fingerprint(other_world, other_config, origins)
 

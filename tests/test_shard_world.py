@@ -5,8 +5,8 @@ in isolation, the concatenation of all shards equals the monolithic
 build, ``run_campaign`` on a sharded world equals ``run_campaign`` on
 the monolithic world across every executor backend, and every streamed
 paper-grid analysis (coverage, multi-origin, bootstrap, per-AS rates)
-equals its dataset-level counterpart to the last float.  These tests pin
-each link of that chain at seed scale.
+equals the boolean oracle (repro.core.oracle) to the last float.  These
+tests pin each link of that chain at seed scale.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import bootstrap, coverage, multi_origin
+from repro.core import oracle
 from repro.core.streaming import BitPlaneWriter, StreamingTrial
 from repro.io import worldcache
 from repro.scanner.zmap import ZMapConfig
@@ -335,7 +335,7 @@ class TestStreamingAnalyses:
         result, ds = streamed
         for protocol in ds.protocols:
             streamed_table = result.coverage_table(protocol)
-            reference = coverage.coverage_table(ds, protocol)
+            reference = oracle.coverage_table(ds, protocol)
             assert streamed_table.origins == reference.origins
             assert streamed_table.trials == reference.trials
             assert streamed_table.coverage == reference.coverage
@@ -346,8 +346,7 @@ class TestStreamingAnalyses:
     def test_k_origin_summary(self, streamed, k):
         result, ds = streamed
         mine = result.k_origin_summary("http", k)
-        reference = multi_origin.k_origin_summary(ds, "http", k,
-                                                  engine="packed")
+        reference = oracle.k_origin_summary(ds, "http", k)
         for stat in ("median", "q1", "q3", "minimum", "maximum", "std"):
             assert getattr(mine, stat) == getattr(reference, stat)
         assert [(s.combo, s.trial, s.coverage) for s in mine.samples] == \
@@ -357,15 +356,14 @@ class TestStreamingAnalyses:
         result, ds = streamed
         for protocol in ds.protocols:
             assert result.best_combination(protocol, 2) == \
-                multi_origin.best_combination(ds, protocol, 2,
-                                              engine="packed")
+                oracle.best_combination(ds, protocol, 2)
 
     @pytest.mark.parametrize("origin", ["AU", "DE", "CEN"])
     def test_bootstrap_interval(self, streamed, origin):
         result, ds = streamed
         trial_data = ds.trial_data("https", 1)
-        reference = bootstrap.coverage_interval(trial_data, origin,
-                                                replicates=120, seed=9)
+        reference = oracle.coverage_interval(trial_data, origin,
+                                             replicates=120, seed=9)
         mine = result.coverage_interval("https", 1, origin,
                                         replicates=120, seed=9)
         assert mine == reference

@@ -9,6 +9,12 @@ turns the whole layer off.
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -71,9 +77,55 @@ def test_key_is_stable_and_input_sensitive():
     assert key != worldcache.world_key(specs, 8, defaults, countries)
     assert key != worldcache.world_key(paper_specs(7, SCALE * 2), 7,
                                        defaults, countries)
-    import dataclasses
     tweaked = dataclasses.replace(defaults, churner_wobble=0.5)
     assert key != worldcache.world_key(specs, 7, tweaked, countries)
+
+
+_KEYS_SCRIPT = f"""
+from repro.io import worldcache
+from repro.sim.scenario import (paper_defaults, paper_sharded_scenario,
+                                paper_specs)
+from repro.topology.geo import default_countries
+print(worldcache.world_key(paper_specs(1, {SCALE}), 1, paper_defaults(),
+                           default_countries()))
+sharded, _, _ = paper_sharded_scenario(seed=1, scale={SCALE}, n_shards=4,
+                                       cache=False)
+print(sharded.manifest.digest())
+"""
+
+
+def test_keys_equal_across_hash_seeds():
+    # The paper specs hold frozensets (static-block origins, regional
+    # country lists) whose iteration order follows PYTHONHASHSEED; the
+    # world key and the shard digest built on it must not.
+    src = str(Path(worldcache.__file__).resolve().parents[2])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _KEYS_SCRIPT], env=env, check=True,
+            capture_output=True, text=True).stdout.split())
+    assert len(outputs[0]) == 2
+    assert outputs[0] == outputs[1]
+
+
+@dataclasses.dataclass
+class _NoFields:
+    pass
+
+
+def test_canonical_form_keeps_sets_and_dataclasses_apart():
+    # A set or dataclass must not share a key with a plain tuple of the
+    # shape it is rewritten to before pickling.
+    defaults = paper_defaults()
+    canonical = worldcache._canonical_bytes
+    assert canonical(frozenset({1, 2})) != canonical(("frozenset", (1, 2)))
+    assert canonical(frozenset({1, 2})) != canonical(set({1, 2}))
+    assert canonical(defaults) != canonical(
+        worldcache._canonical(defaults)[1:])
+    assert canonical(_NoFields()) != canonical((_NoFields,))
 
 
 def test_env_opt_out(tmp_path, monkeypatch):
